@@ -45,12 +45,16 @@ namespace {
 constexpr std::int32_t kLeafThreshold =
     std::numeric_limits<std::int32_t>::max();
 
+#if DRCSHAP_SIMD_ENABLED
+/// The one $DRCSHAP_SIMD parser: every AVX2 kernel (inference and the
+/// TreeSHAP walk) is gated through CompiledForest::simd_available().
 bool env_disables_simd() {
   const char* env = std::getenv("DRCSHAP_SIMD");
   if (env == nullptr) return false;
   const std::string_view v(env);
   return v == "0" || v == "off" || v == "OFF" || v == "false" || v == "FALSE";
 }
+#endif
 
 void fnv_mix(std::uint64_t& hash, const void* data, std::size_t bytes) {
   const auto* p = static_cast<const unsigned char*>(data);
@@ -109,7 +113,6 @@ CompiledForest::CompiledForest(const FlatForest& flat)
   qthreshold_.assign(n_nodes, kLeafThreshold);
   child_.assign(n_nodes, 0);
   value_.assign(n_nodes, 0.0);
-  cover_.assign(n_nodes, 0.0);
   roots_.reserve(flat.n_trees());
   depths_.reserve(flat.n_trees());
 
@@ -126,7 +129,6 @@ CompiledForest::CompiledForest(const FlatForest& flat)
       const auto new_id =
           static_cast<std::size_t>(base + static_cast<std::int32_t>(head));
       value_[new_id] = flat.value()[flat_id];
-      cover_[new_id] = flat.cover()[flat_id];
       const std::int32_t f = flat.feature()[flat_id];
       if (f < 0) {
         // Leaf: self-loop, never-true split, feature 0 for safe gathers.
@@ -255,7 +257,6 @@ std::uint64_t CompiledForest::layout_digest() const {
   fnv_mix_vector(hash, qthreshold_);
   fnv_mix_vector(hash, child_);
   fnv_mix_vector(hash, value_);
-  fnv_mix_vector(hash, cover_);
   fnv_mix_vector(hash, roots_);
   fnv_mix_vector(hash, depths_);
   return hash;

@@ -104,15 +104,6 @@ class CompiledForest {
   std::int32_t root(std::size_t tree) const { return roots_[tree]; }
   int tree_depth(std::size_t tree) const { return depths_[tree]; }
 
-  // BFS node arrays (absolute ids). Shared with the SHAP tree explainer,
-  // whose hot/cold descent reuses the quantized compares and the adjacent
-  // child pairs. A leaf is a node with child()[n] == n.
-  const std::int32_t* feature() const { return feature_.data(); }
-  const std::int32_t* qthreshold() const { return qthreshold_.data(); }
-  const std::int32_t* child() const { return child_.data(); }
-  const double* value() const { return value_.data(); }
-  const double* cover() const { return cover_.data(); }
-
   /// Distinct sorted thresholds of `feature` (rank = u16 code).
   std::size_t n_cuts(std::size_t feature) const {
     return static_cast<std::size_t>(cut_begin_[feature + 1] -
@@ -167,7 +158,6 @@ class CompiledForest {
   std::vector<std::int32_t> qthreshold_;
   std::vector<std::int32_t> child_;
   std::vector<double> value_;
-  std::vector<double> cover_;
   std::vector<std::int32_t> roots_;
   std::vector<std::int32_t> depths_;
 

@@ -20,7 +20,6 @@ namespace {
 
 using shap_detail::PathElement;
 using shap_detail::ExactTraversal;
-using shap_detail::CompiledTraversal;
 using shap_detail::ShapMeta;
 using shap_detail::FastFrame;
 using shap_detail::extend_path_01;
@@ -66,16 +65,14 @@ double unwound_path_sum(const PathElement* path, int unique_depth,
 // level L uses the scratch slot starting at L * stride; a repeated feature
 // shrinks unique_depth without changing the level, so slots are keyed by
 // level.
-template <class Traversal>
 struct ShapContext {
-  Traversal tree;
+  ExactTraversal tree;
   double* phi;
   PathElement* path_storage;
   int stride;
 };
 
-template <class Traversal>
-void shap_recurse(const ShapContext<Traversal>& ctx, std::int32_t node_index,
+void shap_recurse(const ShapContext& ctx, std::int32_t node_index,
                   int level, int unique_depth, const PathElement* parent_path,
                   double parent_zero_fraction, double parent_one_fraction,
                   int parent_feature_index) {
@@ -132,31 +129,32 @@ void shap_recurse(const ShapContext<Traversal>& ctx, std::int32_t node_index,
                cold_cover / cover * incoming_zero_fraction, 0.0, feature);
 }
 
+/// Scratch sizing for one forest: a level-L path holds <= L+1 elements.
+std::size_t path_scratch_len(const FlatForest& forest) {
+  return static_cast<std::size_t>(forest.max_depth() + 1) *
+         static_cast<std::size_t>(forest.max_depth() + 2);
+}
+
+/// Traversal view of `forest` for sample `x` (nullptr for the structural
+/// pass, which never compares).
+ExactTraversal exact_traversal(const FlatForest& forest, const float* x) {
+  ExactTraversal tree;
+  tree.feature = forest.feature();
+  tree.threshold = forest.threshold();
+  tree.left = forest.left();
+  tree.right = forest.right();
+  tree.value = forest.value();
+  tree.cover = forest.cover();
+  tree.x = x;
+  return tree;
+}
+
 /// Accumulate one tree's SHAP values for `x` into `phi` (not normalized).
 /// `path_storage` must hold (forest.max_depth()+1) * stride elements with
 /// stride >= forest.max_depth() + 2.
 void flat_tree_shap(const FlatForest& forest, std::size_t tree, const float* x,
                     double* phi, PathElement* path_storage, int stride) {
-  ShapContext<ExactTraversal> ctx{
-      {forest.feature(), forest.threshold(), forest.left(), forest.right(),
-       forest.value(), forest.cover(), x},
-      phi,
-      path_storage,
-      stride};
-  shap_recurse(ctx, forest.root(tree), /*level=*/0, /*unique_depth=*/0,
-               /*parent_path=*/nullptr, 1.0, 1.0, -1);
-}
-
-/// Same, over the compiled breadth-first layout with pre-quantized codes.
-void compiled_tree_shap(const CompiledForest& forest, std::size_t tree,
-                        const std::uint16_t* codes, double* phi,
-                        PathElement* path_storage, int stride) {
-  ShapContext<CompiledTraversal> ctx{
-      {forest.feature(), forest.qthreshold(), forest.child(), forest.value(),
-       forest.cover(), codes},
-      phi,
-      path_storage,
-      stride};
+  const ShapContext ctx{exact_traversal(forest, x), phi, path_storage, stride};
   shap_recurse(ctx, forest.root(tree), /*level=*/0, /*unique_depth=*/0,
                /*parent_path=*/nullptr, 1.0, 1.0, -1);
 }
@@ -170,16 +168,15 @@ void compiled_tree_shap(const CompiledForest& forest, std::size_t tree,
 // is a product of cover ratios folded through duplicate features — purely
 // structural — and the unique-path composition (which features sit at which
 // path indices, and hence where a duplicate split feature is found) is
-// structural too. A one-time DFS per layout records both per node, with the
-// *identical* floating-point expression order the recursion uses
+// structural too. A one-time DFS over the forest records both per node,
+// with the *identical* floating-point expression order the recursion uses
 // (`child_cover / cover * incoming_zero_fraction`), so the precomputed
 // doubles are bit-equal to the ones the reference path derives per row.
 
 /// Structural half of shap_recurse: walks one tree maintaining only the
 /// (feature, zero_fraction) path with duplicate folding, recording per-node
 /// metadata. Mirrors the reference op order exactly.
-template <class Traversal>
-void build_meta_recurse(const Traversal& tree, ShapMeta& meta,
+void build_meta_recurse(const ExactTraversal& tree, ShapMeta& meta,
                         std::int32_t node_index, int level, int unique_depth,
                         const PathElement* parent_path,
                         double parent_zero_fraction, int parent_feature_index,
@@ -231,21 +228,17 @@ void build_meta_recurse(const Traversal& tree, ShapMeta& meta,
                      feature, storage, stride, leaf_count);
 }
 
-template <class Traversal>
-ShapMeta build_meta(const Traversal& tree, std::size_t n_nodes,
-                    std::size_t n_trees, const std::int32_t* roots,
-                    int max_depth) {
+ShapMeta build_meta(const FlatForest& flat) {
+  const ExactTraversal tree = exact_traversal(flat, nullptr);
   ShapMeta meta;
-  meta.entry_zero_fraction.assign(n_nodes, 1.0);
-  meta.dup_index.assign(n_nodes, 0);
-  std::vector<PathElement> storage(
-      static_cast<std::size_t>(max_depth + 1) *
-      static_cast<std::size_t>(max_depth + 2));
-  for (std::size_t t = 0; t < n_trees; ++t) {
+  meta.entry_zero_fraction.assign(flat.n_nodes(), 1.0);
+  meta.dup_index.assign(flat.n_nodes(), 0);
+  std::vector<PathElement> storage(path_scratch_len(flat));
+  for (std::size_t t = 0; t < flat.n_trees(); ++t) {
     int leaves = 0;
-    build_meta_recurse(tree, meta, roots[t], /*level=*/0, /*unique_depth=*/0,
-                       /*parent_path=*/nullptr, 1.0, -1, storage.data(),
-                       max_depth + 2, leaves);
+    build_meta_recurse(tree, meta, flat.root(t), /*level=*/0,
+                       /*unique_depth=*/0, /*parent_path=*/nullptr, 1.0, -1,
+                       storage.data(), flat.max_depth() + 2, leaves);
     if (leaves > meta.max_leaves) meta.max_leaves = leaves;
   }
   return meta;
@@ -258,8 +251,7 @@ ShapMeta build_meta(const Traversal& tree, std::size_t n_nodes,
 /// path, so running four in lockstep pipelines the divider without touching
 /// any chain's operand order. phi updates stay in ascending element order
 /// (they would commute anyway: unique-path features are distinct).
-template <class Traversal>
-inline void leaf_accumulate(const Traversal& tree, std::size_t node,
+inline void leaf_accumulate(const ExactTraversal& tree, std::size_t node,
                             const PathElement* path, int unique_depth,
                             double* phi) {
   const double leaf_value = tree.value[node];
@@ -309,8 +301,7 @@ inline void leaf_accumulate(const Traversal& tree, std::size_t node,
 /// values (the two cover divisions and the duplicate search per node, and
 /// one of the two path copies: a cold child extends its parent's slot in
 /// place, because the parent path is dead once the hot subtree returned).
-template <class Traversal>
-void fast_tree_shap(const Traversal& tree, const ShapMeta& meta,
+void fast_tree_shap(const ExactTraversal& tree, const ShapMeta& meta,
                     std::int32_t root, double* phi, PathElement* storage,
                     int stride, std::vector<FastFrame>& stack) {
   stack.clear();
@@ -360,12 +351,6 @@ void fast_tree_shap(const Traversal& tree, const ShapMeta& meta,
   }
 }
 
-/// Scratch sizing for one forest: a level-L path holds <= L+1 elements.
-std::size_t path_scratch_len(const FlatForest& forest) {
-  return static_cast<std::size_t>(forest.max_depth() + 1) *
-         static_cast<std::size_t>(forest.max_depth() + 2);
-}
-
 /// $DRCSHAP_SHAP_FAST=0 pins the batch engine to the reference recursion —
 /// the kill switch the byte-identity tests (and a CI leg) flip to prove the
 /// fast path changes no output bit.
@@ -389,16 +374,22 @@ constexpr std::size_t kPartialBudget = 2048;
 
 }  // namespace
 
+#if DRCSHAP_SIMD_ENABLED
+bool shap_detail::simd_walk_available() {
+  // The compiled backend's AVX2 gate (build flag, cpuid, $DRCSHAP_SIMD)
+  // plus FMA, which the walk's division replacement needs.
+  static const bool fma_ok = __builtin_cpu_supports("fma");
+  return fma_ok && CompiledForest::simd_available();
+}
+#endif
+
 namespace detail {
 
-/// Lazily-built structural metadata, one slot per layout. Shared (via
-/// shared_ptr) by every copy of an explainer, so the serving daemon's
-/// per-batch explainer snapshots reuse one build.
+/// Lazily-built structural metadata of the fast walk. Shared (via
+/// shared_ptr) by every copy of an explainer, so copies reuse one build.
 struct ShapMetaCell {
-  std::once_flag exact_once;
-  std::once_flag compiled_once;
-  ShapMeta exact;
-  ShapMeta compiled;
+  std::once_flag once;
+  ShapMeta meta;
 };
 
 }  // namespace detail
@@ -426,16 +417,6 @@ TreeShapExplainer::TreeShapExplainer(const RandomForestClassifier& forest) {
   meta_ = std::make_shared<detail::ShapMetaCell>();
   base_value_ = forest.expected_value();
   model_digest_ = compute_model_digest();
-}
-
-bool TreeShapExplainer::use_compiled() const {
-  ForestEngine engine = engine_;
-  if (engine == ForestEngine::kAuto) engine = forest_engine_from_env();
-  if (engine == ForestEngine::kAuto) {
-    engine = compiled_ != nullptr ? ForestEngine::kCompiled
-                                  : ForestEngine::kExact;
-  }
-  return engine == ForestEngine::kCompiled && compiled_ != nullptr;
 }
 
 std::uint64_t TreeShapExplainer::compute_model_digest() const {
@@ -476,19 +457,8 @@ std::vector<double> TreeShapExplainer::shap_values(
   std::vector<double> phi(flat.n_features(), 0.0);
   std::vector<PathElement> path(path_scratch_len(flat));
   const int stride = flat.max_depth() + 2;
-  if (use_compiled()) {
-    const CompiledForest& compiled = *compiled_;
-    std::vector<std::uint16_t> codes(flat.n_features());
-    compiled.quantize_sample(features.data(), codes.data());
-    for (std::size_t t = 0; t < flat.n_trees(); ++t) {
-      compiled_tree_shap(compiled, t, codes.data(), phi.data(), path.data(),
-                         stride);
-    }
-  } else {
-    for (std::size_t t = 0; t < flat.n_trees(); ++t) {
-      flat_tree_shap(flat, t, features.data(), phi.data(), path.data(),
-                     stride);
-    }
+  for (std::size_t t = 0; t < flat.n_trees(); ++t) {
+    flat_tree_shap(flat, t, features.data(), phi.data(), path.data(), stride);
   }
   const double inv = 1.0 / static_cast<double>(flat.n_trees());
   for (double& v : phi) v *= inv;
@@ -514,10 +484,7 @@ ShapMatrix TreeShapExplainer::shap_values_batch(std::span<const float> features,
   }
   DRCSHAP_OBS_TIMER("shap/values_batch");
   obs::counter_add("shap/batch_samples", n_rows);
-  // Pin the traversal engine once per batch; the note lets run reports show
-  // which layout served the explanation pass.
-  const CompiledForest* compiled = use_compiled() ? compiled_.get() : nullptr;
-  obs::note_set("shap/engine", compiled != nullptr ? "compiled" : "exact");
+  const CompiledForest* compiled = compiled_.get();
   const bool fast = shap_fast_from_env();
   obs::note_set("shap/fast_path", fast ? "on" : "off");
   ExplanationCache* cache =
@@ -531,8 +498,9 @@ ShapMatrix TreeShapExplainer::shap_values_batch(std::span<const float> features,
 
   ThreadPool& pool = ThreadPool::global();
 
-  // Quantize every row once up front under the compiled engine: the codes
-  // are both the traversal input and the dedupe/cache key.
+  // Quantize every row once up front when the forest has a compiled layout:
+  // equal codes take the same branch at every split, so the codes are the
+  // dedupe/cache key. The walk itself always reads the raw floats.
   std::vector<std::uint16_t> codes;
   if (compiled != nullptr) {
     codes.resize(n_rows * n_features);
@@ -545,9 +513,10 @@ ShapMatrix TreeShapExplainer::shap_values_batch(std::span<const float> features,
         /*grain=*/8, /*max_workers=*/n_threads);
   }
 
-  // --- Dedupe rows on their explanation key. Rows with byte-equal keys
-  // take the same branch at every split, so their phi rows are bit-equal:
-  // explain one representative, scatter to the rest.
+  // --- Dedupe rows on their explanation key (the codes, or the raw floats
+  // of a forest too fine to quantize). Rows with byte-equal keys take the
+  // same branch at every split, so their phi rows are bit-equal: explain
+  // one representative, scatter to the rest.
   const std::size_t key_len = compiled != nullptr
                                   ? n_features * sizeof(std::uint16_t)
                                   : n_features * sizeof(float);
@@ -613,34 +582,8 @@ ShapMatrix TreeShapExplainer::shap_values_batch(std::span<const float> features,
 
     const ShapMeta* meta = nullptr;
     if (fast) {
-      if (compiled != nullptr) {
-        std::call_once(meta_->compiled_once, [&] {
-          std::vector<std::int32_t> roots(compiled->n_trees());
-          for (std::size_t t = 0; t < compiled->n_trees(); ++t) {
-            roots[t] = compiled->root(t);
-          }
-          meta_->compiled = build_meta(
-              CompiledTraversal{compiled->feature(), compiled->qthreshold(),
-                                compiled->child(), compiled->value(),
-                                compiled->cover(), nullptr},
-              compiled->n_nodes(), compiled->n_trees(), roots.data(),
-              compiled->max_depth());
-        });
-        meta = &meta_->compiled;
-      } else {
-        std::call_once(meta_->exact_once, [&] {
-          std::vector<std::int32_t> roots(flat.n_trees());
-          for (std::size_t t = 0; t < flat.n_trees(); ++t) {
-            roots[t] = flat.root(t);
-          }
-          meta_->exact = build_meta(
-              ExactTraversal{flat.feature(), flat.threshold(), flat.left(),
-                             flat.right(), flat.value(), flat.cover(),
-                             nullptr},
-              flat.n_nodes(), flat.n_trees(), roots.data(), flat.max_depth());
-        });
-        meta = &meta_->exact;
-      }
+      std::call_once(meta_->once, [&] { meta_->meta = build_meta(flat); });
+      meta = &meta_->meta;
     }
 
     // One scratch slot per shared-pool worker: the Algorithm-2 path storage
@@ -680,64 +623,32 @@ ShapMatrix TreeShapExplainer::shap_values_batch(std::span<const float> features,
     obs::note_set("shap/walk",
                   !fast ? "reference" : (simd_walk ? "avx2" : "scalar"));
     // Accumulate trees [t_begin, t_end) for row `row` into `phi` in fixed
-    // tree order, over whichever layout the engine selected.
+    // tree order.
     auto accumulate_trees = [&](std::size_t row, double* phi,
                                 std::size_t t_begin, std::size_t t_end) {
       WorkerScratch& ws = worker_scratch();
-#if DRCSHAP_SIMD_ENABLED
-      if (simd_walk) ws.engine.init(stride, meta->max_leaves);
-#endif
-      if (compiled != nullptr) {
-        const std::uint16_t* qx = codes.data() + row * n_features;
-        if (meta != nullptr) {
-          const CompiledTraversal trav{
-              compiled->feature(), compiled->qthreshold(), compiled->child(),
-              compiled->value(),   compiled->cover(),      qx};
-#if DRCSHAP_SIMD_ENABLED
-          if (simd_walk) {
-            for (std::size_t t = t_begin; t < t_end; ++t) {
-              shap_detail::fast_tree_shap_avx2(trav, *meta, compiled->root(t),
-                                               phi, ws.path.data(), stride,
-                                               ws.stack, ws.engine);
-            }
-            return;
-          }
-#endif
-          for (std::size_t t = t_begin; t < t_end; ++t) {
-            fast_tree_shap(trav, *meta, compiled->root(t), phi,
-                           ws.path.data(), stride, ws.stack);
-          }
-        } else {
-          for (std::size_t t = t_begin; t < t_end; ++t) {
-            compiled_tree_shap(*compiled, t, qx, phi, ws.path.data(), stride);
-          }
+      const float* x = features.data() + row * n_features;
+      if (meta == nullptr) {
+        for (std::size_t t = t_begin; t < t_end; ++t) {
+          flat_tree_shap(flat, t, x, phi, ws.path.data(), stride);
         }
-      } else {
-        const float* x = features.data() + row * n_features;
-        if (meta != nullptr) {
-          const ExactTraversal trav{flat.feature(), flat.threshold(),
-                                    flat.left(),    flat.right(),
-                                    flat.value(),   flat.cover(),
-                                    x};
+        return;
+      }
+      const ExactTraversal trav = exact_traversal(flat, x);
 #if DRCSHAP_SIMD_ENABLED
-          if (simd_walk) {
-            for (std::size_t t = t_begin; t < t_end; ++t) {
-              shap_detail::fast_tree_shap_avx2(trav, *meta, flat.root(t), phi,
-                                               ws.path.data(), stride,
-                                               ws.stack, ws.engine);
-            }
-            return;
-          }
-#endif
-          for (std::size_t t = t_begin; t < t_end; ++t) {
-            fast_tree_shap(trav, *meta, flat.root(t), phi, ws.path.data(),
-                           stride, ws.stack);
-          }
-        } else {
-          for (std::size_t t = t_begin; t < t_end; ++t) {
-            flat_tree_shap(flat, t, x, phi, ws.path.data(), stride);
-          }
+      if (simd_walk) {
+        ws.engine.init(stride, meta->max_leaves);
+        for (std::size_t t = t_begin; t < t_end; ++t) {
+          shap_detail::fast_tree_shap_avx2(trav, *meta, flat.root(t), phi,
+                                           ws.path.data(), stride, ws.stack,
+                                           ws.engine);
         }
+        return;
+      }
+#endif
+      for (std::size_t t = t_begin; t < t_end; ++t) {
+        fast_tree_shap(trav, *meta, flat.root(t), phi, ws.path.data(), stride,
+                       ws.stack);
       }
     };
 

@@ -19,13 +19,11 @@
 // vectors in fixed tree order — the accumulation structure depends only on
 // the ensemble, so results are bit-identical for any thread count.
 //
-// Like inference, the traversal itself is pluggable (core/forest_engine.hpp):
-// the explainer snapshots the forest's compiled breadth-first layout next to
-// the exact FlatForest one and, when available, walks the cached
-// child/feature arrays with the sample quantized once into u16 codes. The
-// monotone quantization preserves every split decision and both layouts
-// carry the same value/cover doubles, so SHAP outputs are byte-identical
-// whichever engine runs.
+// Unlike inference, explanation has one tree layout: every walk below runs
+// over the exact FlatForest arrays and the raw float sample. The forest's
+// compiled layout (core/compiled_forest.hpp) serves only as a key: its
+// monotone u16 quantization preserves every split decision, so rows with
+// equal codes share one phi row (see the dedupe below).
 //
 // The batch engine additionally runs a *fast path* that amortizes the
 // sample-independent half of Algorithm 2 across the whole batch. The key
@@ -33,23 +31,25 @@
 // branch decision at each split. Everything else — the unique-path
 // composition after duplicate-feature folding, the unique depth at every
 // node, and the zero_fractions (products of cover ratios) — is a function
-// of the tree alone. A one-time structural DFS per layout precomputes, per
-// node, the entry zero_fraction (with the exact op order of the original
-// recursion, so the doubles are bit-equal), the folded unique depth, and
-// the unique-path index of a duplicate split feature; the per-row walk then
-// skips the two cover divisions and the O(depth) duplicate search at every
-// node, specializes EXTEND on the fact that one_fractions are exactly 0.0
-// or 1.0, halves the path copies by extending cold children in the parent's
-// scratch slot, and interleaves the independent per-feature UNWIND chains
-// at each leaf so the division unit pipelines instead of stalling. Every
+// of the tree alone. A one-time structural DFS over the forest
+// precomputes, per node, the entry zero_fraction (with the exact op order
+// of the original recursion, so the doubles are bit-equal), the folded
+// unique depth, and the unique-path index of a duplicate split feature; the
+// per-row walk then skips the two cover divisions and the O(depth)
+// duplicate search at every node, specializes EXTEND on the fact that
+// one_fractions are exactly 0.0 or 1.0, halves the path copies by extending
+// cold children in the parent's scratch slot, and interleaves the
+// independent per-feature UNWIND chains at each leaf so the division unit
+// pipelines instead of stalling. Every
 // floating-point op that contributes to phi keeps its original operands and
 // order, so fast-path phi is byte-identical to the reference recursion
 // (kept verbatim behind the single-sample shap_values and the
 // $DRCSHAP_SHAP_FAST=0 kill switch).
 //
 // On top of the fast path, shap_values_batch dedupes rows before compute:
-// rows with byte-equal keys (quantized code vectors under the compiled
-// engine, raw float rows under the exact one) provably share one phi row,
+// rows with byte-equal keys (quantized code vectors when the forest has a
+// compiled layout, raw float rows when it could not be quantized) provably
+// share one phi row,
 // so each unique row is explained once and scattered to its duplicates.
 // With a shared ExplanationCache attached (core/explanation_cache.hpp),
 // unique rows are additionally served from — and inserted into — the cache,
@@ -68,7 +68,7 @@ namespace drcshap {
 class ExplanationCache;
 
 namespace detail {
-struct ShapMetaCell;  // lazily built per-layout structural metadata
+struct ShapMetaCell;  // lazily built structural metadata of the fast walk
 }  // namespace detail
 
 /// Row-major matrix of SHAP values: one row of n_features doubles per
@@ -85,21 +85,15 @@ struct ShapMatrix {
 
 class TreeShapExplainer {
  public:
-  /// Snapshots the forest's flattened SoA view (and its compiled layout
-  /// when one was built); the explainer stays valid even if the forest is
-  /// refit afterwards.
+  /// Snapshots the forest's flattened SoA view (and its compiled layout,
+  /// when one was built, as the dedupe/cache key quantizer); the explainer
+  /// stays valid even if the forest is refit afterwards.
   explicit TreeShapExplainer(const RandomForestClassifier& forest);
-
-  /// Selects the traversal engine for subsequent shap_values* calls.
-  /// kAuto (the default) defers to $DRCSHAP_FOREST_ENGINE and then prefers
-  /// the compiled layout when available; kCompiled without a compiled
-  /// layout falls back to exact. Outputs are byte-identical either way.
-  void set_engine(ForestEngine engine) { engine_ = engine; }
 
   /// Attaches a shared explanation cache consulted (and filled) by
   /// shap_values_batch for each unique row. Copies of the explainer share
-  /// the cache, so the serving daemon's per-batch explainer snapshots all
-  /// hit one store. nullptr detaches. $DRCSHAP_EXPLAIN_CACHE=0 bypasses an
+  /// the cache, so every copy of a served model's explainer hits one
+  /// store. nullptr detaches. $DRCSHAP_EXPLAIN_CACHE=0 bypasses an
   /// attached cache without detaching it.
   void set_cache(std::shared_ptr<ExplanationCache> cache) {
     cache_ = std::move(cache);
@@ -137,23 +131,18 @@ class TreeShapExplainer {
                                               std::span<const float> features);
 
  private:
-  /// True when the next traversal should walk the compiled layout.
-  bool use_compiled() const;
-
   /// One-time structural digest over the FlatForest snapshot (ctor only).
   std::uint64_t compute_model_digest() const;
 
   std::shared_ptr<const FlatForest> flat_;
   std::shared_ptr<const CompiledForest> compiled_;
-  /// Shared lazily-initialized structural metadata of the fast batch path
-  /// (one slot per layout). Copies of the explainer — the serving daemon
-  /// snapshots one per batch — share the cell, so the one-time DFS cost is
-  /// paid once per loaded model, not once per batch.
+  /// Shared lazily-initialized structural metadata of the fast batch path.
+  /// Copies of the explainer share the cell, so the one-time DFS cost is
+  /// paid once per loaded model, not once per copy.
   std::shared_ptr<detail::ShapMetaCell> meta_;
   std::shared_ptr<ExplanationCache> cache_;
   double base_value_;
   std::uint64_t model_digest_ = 0;
-  ForestEngine engine_ = ForestEngine::kAuto;
 };
 
 }  // namespace drcshap

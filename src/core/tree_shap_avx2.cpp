@@ -1,7 +1,7 @@
 // AVX2+FMA leaf kernels of the fast TreeSHAP batch walk. This TU is the
 // only one compiled with -mavx2 -mfma (plus -ffp-contract=off so no scalar
 // expression silently turns into an FMA and changes a bit); everything is
-// entered behind a runtime cpuid + $DRCSHAP_SIMD check.
+// entered behind the runtime cpuid + $DRCSHAP_SIMD gate in tree_shap.cpp.
 //
 // What vectorizes, and why it stays byte-identical:
 //
@@ -37,28 +37,9 @@
 
 #include <immintrin.h>
 
-#include <cstdlib>
-#include <cstring>
-#include <string_view>
-
 namespace drcshap::shap_detail {
 
 namespace {
-
-bool env_disables_simd() {
-  const char* env = std::getenv("DRCSHAP_SIMD");
-  if (env == nullptr) return false;
-  const std::string_view v(env);
-  return v == "0" || v == "off" || v == "OFF" || v == "false" || v == "FALSE";
-}
-
-bool cpu_supports_avx2_fma() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-  return false;
-#endif
-}
 
 /// Correctly-rounded reciprocals of the small integers the kernels divide
 /// by (unique_depth+1 and j+1 are bounded by tree depth + 1).
@@ -256,8 +237,7 @@ void flush_tree(ShapJobEngine& je, double* phi) {
 /// partitioned by one_fraction, packed 4 per block into the leaf's shared
 /// pweight array. Padding lanes get zf = 1.0 (any finite value works —
 /// lanes are independent and padding totals are never applied).
-template <class Traversal>
-inline void emit_leaf(const Traversal& tree, std::size_t node,
+inline void emit_leaf(const ExactTraversal& tree, std::size_t node,
                       const PathElement* path, int ud, ShapJobEngine& je) {
   ShapJobEngine::Job& job = je.jobs[static_cast<std::size_t>(je.n_jobs++)];
   job.unique_depth = ud;
@@ -315,13 +295,15 @@ inline void emit_leaf(const Traversal& tree, std::size_t node,
   if (job.n0 < 0) job.n0 = 0;
 }
 
+}  // namespace
+
 /// Same traversal skeleton as the scalar fast walk (hot subtree first, cold
 /// frames on a LIFO stack, cold children extend the parent slot in place);
 /// only the leaf work is staged instead of computed inline.
-template <class Traversal>
-void fast_walk(const Traversal& tree, const ShapMeta& meta, std::int32_t root,
-               double* phi, PathElement* storage, int stride,
-               std::vector<FastFrame>& stack, ShapJobEngine& je) {
+void fast_tree_shap_avx2(const ExactTraversal& tree, const ShapMeta& meta,
+                         std::int32_t root, double* phi, PathElement* storage,
+                         int stride, std::vector<FastFrame>& stack,
+                         ShapJobEngine& je) {
   stack.clear();
   stack.push_back({root, 0, 0, -1, 1.0});
   while (!stack.empty()) {
@@ -368,27 +350,6 @@ void fast_walk(const Traversal& tree, const ShapMeta& meta, std::int32_t root,
     }
   }
   flush_tree(je, phi);
-}
-
-}  // namespace
-
-bool simd_walk_available() {
-  static const bool cpu_ok = cpu_supports_avx2_fma();
-  return cpu_ok && !env_disables_simd();
-}
-
-void fast_tree_shap_avx2(const ExactTraversal& tree, const ShapMeta& meta,
-                         std::int32_t root, double* phi, PathElement* storage,
-                         int stride, std::vector<FastFrame>& stack,
-                         ShapJobEngine& engine) {
-  fast_walk(tree, meta, root, phi, storage, stride, stack, engine);
-}
-
-void fast_tree_shap_avx2(const CompiledTraversal& tree, const ShapMeta& meta,
-                         std::int32_t root, double* phi, PathElement* storage,
-                         int stride, std::vector<FastFrame>& stack,
-                         ShapJobEngine& engine) {
-  fast_walk(tree, meta, root, phi, storage, stride, stack, engine);
 }
 
 }  // namespace drcshap::shap_detail

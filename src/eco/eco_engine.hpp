@@ -114,8 +114,8 @@ class EcoEngine {
   /// Builds the full resident state (route + features + labels + predict +
   /// explain over every g-cell) — the same work a one-shot pipeline run
   /// does, which is also the baseline apply() is benchmarked against.
-  /// The explainer must wrap `forest`; attach a cache / pin an engine on it
-  /// before handing it in.
+  /// The explainer must wrap `forest`; attach a cache to it before handing
+  /// it in.
   EcoEngine(Design design, std::shared_ptr<const RandomForestClassifier> forest,
             TreeShapExplainer explainer, EcoOptions options = {});
 

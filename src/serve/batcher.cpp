@@ -186,13 +186,8 @@ void Batcher::serve_verb(const std::shared_ptr<const ServedModel>& model,
   obs::counter_add(verb == Verb::kExplain ? "serve/explain_rows"
                                           : "serve/global_explain_rows",
                    total_rows);
-  // The explainer snapshot inside ServedModel is immutable; a per-batch
-  // copy (a few shared_ptrs + scalars) carries the engine choice and shares
-  // the model's explanation cache.
-  TreeShapExplainer explainer = model->explainer;
-  explainer.set_engine(options_.engine);
   const ExplanationCacheStats cache_before = model->explain_cache->stats();
-  const ShapMatrix shap = explainer.shap_values_batch(
+  const ShapMatrix shap = model->explainer.shap_values_batch(
       std::span<const float>(matrix), total_rows, options_.n_threads);
   const ExplanationCacheStats cache_after = model->explain_cache->stats();
   const std::uint64_t hits = cache_after.hits - cache_before.hits;
@@ -219,7 +214,7 @@ void Batcher::serve_verb(const std::shared_ptr<const ServedModel>& model,
       response.status = StatusCode::kOk;
       response.n_rows = pending->request.n_rows;
       response.n_features = static_cast<std::uint32_t>(n_features);
-      response.base_value = explainer.base_value();
+      response.base_value = model->explainer.base_value();
       GlobalShapSummary summary(n_features);
       for (std::uint32_t r = 0; r < pending->request.n_rows; ++r) {
         summary.add(std::span<const double>(
@@ -244,7 +239,7 @@ void Batcher::serve_verb(const std::shared_ptr<const ServedModel>& model,
     response.status = StatusCode::kOk;
     response.n_rows = pending->request.n_rows;
     response.n_features = static_cast<std::uint32_t>(n_features);
-    response.base_value = explainer.base_value();
+    response.base_value = model->explainer.base_value();
     const double* begin = shap.values.data() + offset * n_features;
     response.values.assign(begin,
                            begin + response.n_rows * std::size_t{n_features});

@@ -37,10 +37,10 @@ struct ServedModel {
 
   RandomForestClassifier forest;
   TreeShapExplainer explainer;
-  /// Explanation cache of this model version, attached to `explainer` (and
-  /// thereby to every per-batch explainer copy). Allocated fresh per load,
-  /// so a hot swap flushes cached SHAP rows structurally: stale entries
-  /// retire with the old ServedModel instead of being invalidated in place.
+  /// Explanation cache of this model version, attached to `explainer`.
+  /// Allocated fresh per load, so a hot swap flushes cached SHAP rows
+  /// structurally: stale entries retire with the old ServedModel instead of
+  /// being invalidated in place.
   std::shared_ptr<ExplanationCache> explain_cache;
   std::string path;          ///< artifact the model was loaded from
   std::uint64_t digest;      ///< FNV-1a of the artifact payload

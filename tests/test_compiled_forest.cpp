@@ -11,9 +11,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <memory>
 
 #include "benchsuite/pipeline.hpp"
 #include "benchsuite/suite.hpp"
+#include "core/explanation_cache.hpp"
 #include "core/random_forest.hpp"
 #include "core/tree_shap.hpp"
 #include "features/feature_names.hpp"
@@ -53,28 +55,30 @@ RandomForestClassifier small_forest(const Dataset& d, int n_trees = 30,
   return forest;
 }
 
-/// Temporarily pins $DRCSHAP_FOREST_ENGINE, restoring on destruction.
-class ScopedEngineEnv {
+/// Temporarily pins one environment variable (nullptr unsets it),
+/// restoring on destruction.
+class ScopedEnv {
  public:
-  explicit ScopedEngineEnv(const char* value) {
-    const char* old = std::getenv("DRCSHAP_FOREST_ENGINE");
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    const char* old = std::getenv(name);
     if (old != nullptr) saved_ = old;
     had_ = old != nullptr;
     if (value != nullptr) {
-      ::setenv("DRCSHAP_FOREST_ENGINE", value, 1);
+      ::setenv(name, value, 1);
     } else {
-      ::unsetenv("DRCSHAP_FOREST_ENGINE");
+      ::unsetenv(name);
     }
   }
-  ~ScopedEngineEnv() {
+  ~ScopedEnv() {
     if (had_) {
-      ::setenv("DRCSHAP_FOREST_ENGINE", saved_.c_str(), 1);
+      ::setenv(name_.c_str(), saved_.c_str(), 1);
     } else {
-      ::unsetenv("DRCSHAP_FOREST_ENGINE");
+      ::unsetenv(name_.c_str());
     }
   }
 
  private:
+  std::string name_;
   std::string saved_;
   bool had_ = false;
 };
@@ -216,24 +220,40 @@ TEST(CompiledForest, AdversarialHandBuiltForests) {
   }
 }
 
-TEST(CompiledForest, FallsBackToExactWhenUnquantizable) {
-  // 65536 distinct thresholds on one feature exceeds the u16 code space, so
-  // try_compile must refuse and every call must serve exact instead.
-  std::vector<DecisionTree> trees(1);
-  std::vector<TreeNode> nodes;
-  const int n_splits =
-      static_cast<int>(CompiledForest::kMaxCutsPerFeature) + 1;
-  // Right-leaning chain: node i splits at threshold i, left child is a leaf.
-  for (int i = 0; i < n_splits; ++i) {
-    const std::int32_t leaf = static_cast<std::int32_t>(nodes.size()) + 1;
-    const std::int32_t next = leaf + 1;
-    const bool last = i == n_splits - 1;
-    nodes.push_back({0, static_cast<float>(i), leaf,
-                     last ? leaf : next, 0.5,
-                     static_cast<double>(n_splits - i)});
-    nodes.push_back({-1, 0.0f, -1, -1, 0.25, 1.0});
+/// Two-feature trees with more distinct thresholds on feature 0 than the
+/// u16 code space holds: 40 complete depth-11 trees in heap order, each
+/// root splitting feature 1 and every other split cutting feature 0 at a
+/// threshold no other node uses. Many small trees rather than one deep one
+/// keep TreeSHAP's per-tree scratch small.
+std::vector<DecisionTree> unquantizable_trees() {
+  constexpr std::size_t kTrees = 40;
+  constexpr std::size_t kInternal = (std::size_t{1} << 11) - 1;
+  static_assert(kTrees * (kInternal - 1) > CompiledForest::kMaxCutsPerFeature);
+  std::vector<DecisionTree> trees(kTrees);
+  for (std::size_t t = 0; t < kTrees; ++t) {
+    std::vector<TreeNode> nodes(2 * kInternal + 1);
+    for (std::size_t i = nodes.size(); i-- > 0;) {
+      if (i >= kInternal) {
+        const double value = static_cast<double>((i + t) % 7) / 6.0;
+        nodes[i] = {-1, 0.0f, -1, -1, value, 1.0};
+        continue;
+      }
+      const auto left = static_cast<std::int32_t>(2 * i + 1);
+      const double cover = nodes[2 * i + 1].cover + nodes[2 * i + 2].cover;
+      const float threshold = static_cast<float>(t * kInternal + i);
+      nodes[i] = {0, threshold, left, left + 1, 0.5, cover};
+    }
+    nodes[0].feature = 1;
+    nodes[0].threshold = 0.5f;
+    trees[t].set_nodes(std::move(nodes), 2);
   }
-  trees[0].set_nodes(std::move(nodes), 2);
+  return trees;
+}
+
+TEST(CompiledForest, FallsBackToExactWhenUnquantizable) {
+  // More distinct thresholds on one feature than the u16 code space holds,
+  // so try_compile must refuse and every call must serve exact instead.
+  std::vector<DecisionTree> trees = unquantizable_trees();
 
   std::string reason;
   const FlatForest flat{std::span<const DecisionTree>(trees)};
@@ -250,24 +270,39 @@ TEST(CompiledForest, FallsBackToExactWhenUnquantizable) {
             forest.predict_proba(x, ForestEngine::kExact));
 }
 
-TEST(CompiledForest, ShapValuesByteIdenticalAcrossEngines) {
-  const Dataset train = noisy_data(400, 6, 9);
-  const Dataset eval = noisy_data(50, 6, 10);
-  const RandomForestClassifier forest = small_forest(train, 20);
-  ASSERT_NE(forest.compiled(), nullptr);
+TEST(CompiledForest, UnquantizableForestKeysExplanationsOnFloats) {
+  // Without a compiled layout the explainer dedupes and caches on the raw
+  // float rows: the batch stays byte-equal to the reference recursion and
+  // a repeat call is served entirely from the cache.
+  ScopedEnv cache_on("DRCSHAP_EXPLAIN_CACHE", "1");
+  RandomForestClassifier forest;
+  forest.set_trees(unquantizable_trees(), RandomForestOptions{});
+  ASSERT_EQ(forest.compiled(), nullptr);
 
-  TreeShapExplainer exact(forest);
-  exact.set_engine(ForestEngine::kExact);
-  TreeShapExplainer compiled(forest);
-  compiled.set_engine(ForestEngine::kCompiled);
-
-  for (std::size_t i = 0; i < 8; ++i) {
-    expect_bits_equal(exact.shap_values(eval.row(i)),
-                      compiled.shap_values(eval.row(i)));
+  Dataset eval(2);
+  for (const float x0 : {3.5f, 40000.5f, std::nanf("")}) {
+    for (const float x1 : {0.0f, 1.0f}) {
+      eval.append_row(std::vector<float>{x0, x1}, 0, 0);
+    }
   }
-  const ShapMatrix a = exact.shap_values_batch(eval);
-  const ShapMatrix b = compiled.shap_values_batch(eval);
-  expect_bits_equal(a.values, b.values);
+  TreeShapExplainer explainer(forest);
+  std::vector<std::vector<double>> reference;
+  for (std::size_t r = 0; r < eval.n_rows(); ++r) {
+    reference.push_back(explainer.shap_values(eval.row(r)));
+  }
+  const auto cache = std::make_shared<ExplanationCache>();
+  explainer.set_cache(cache);
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE(pass == 0 ? "cold" : "warm");
+    const ShapMatrix batch = explainer.shap_values_batch(eval, 2);
+    for (std::size_t r = 0; r < eval.n_rows(); ++r) {
+      const auto row = batch.row(r);
+      expect_bits_equal(reference[r],
+                        std::vector<double>(row.begin(), row.end()));
+    }
+  }
+  EXPECT_EQ(cache->stats().misses, eval.n_rows());
+  EXPECT_EQ(cache->stats().hits, eval.n_rows());
 }
 
 TEST(CompiledForest, LayoutDigestDeterministic) {
@@ -285,27 +320,27 @@ TEST(CompiledForest, LayoutDigestDeterministic) {
 
 TEST(ForestEngine, EnvParsing) {
   {
-    ScopedEngineEnv env(nullptr);
+    ScopedEnv env("DRCSHAP_FOREST_ENGINE", nullptr);
     EXPECT_EQ(forest_engine_from_env(), ForestEngine::kAuto);
   }
   {
-    ScopedEngineEnv env("");
+    ScopedEnv env("DRCSHAP_FOREST_ENGINE", "");
     EXPECT_EQ(forest_engine_from_env(), ForestEngine::kAuto);
   }
   {
-    ScopedEngineEnv env("auto");
+    ScopedEnv env("DRCSHAP_FOREST_ENGINE", "auto");
     EXPECT_EQ(forest_engine_from_env(), ForestEngine::kAuto);
   }
   {
-    ScopedEngineEnv env("exact");
+    ScopedEnv env("DRCSHAP_FOREST_ENGINE", "exact");
     EXPECT_EQ(forest_engine_from_env(), ForestEngine::kExact);
   }
   {
-    ScopedEngineEnv env("compiled");
+    ScopedEnv env("DRCSHAP_FOREST_ENGINE", "compiled");
     EXPECT_EQ(forest_engine_from_env(), ForestEngine::kCompiled);
   }
   {
-    ScopedEngineEnv env("vectorized");
+    ScopedEnv env("DRCSHAP_FOREST_ENGINE", "vectorized");
     EXPECT_THROW(forest_engine_from_env(), std::invalid_argument);
   }
 }
@@ -315,23 +350,23 @@ TEST(ForestEngine, EnvSelectsBackend) {
   const RandomForestClassifier forest = small_forest(d, 10);
   ASSERT_NE(forest.compiled(), nullptr);
   {
-    ScopedEngineEnv env("exact");
+    ScopedEnv env("DRCSHAP_FOREST_ENGINE", "exact");
     EXPECT_EQ(forest.resolve_engine(ForestEngine::kAuto),
               ForestEngine::kExact);
   }
   {
-    ScopedEngineEnv env("compiled");
+    ScopedEnv env("DRCSHAP_FOREST_ENGINE", "compiled");
     EXPECT_EQ(forest.resolve_engine(ForestEngine::kAuto),
               ForestEngine::kCompiled);
   }
   {
-    ScopedEngineEnv env(nullptr);
+    ScopedEnv env("DRCSHAP_FOREST_ENGINE", nullptr);
     EXPECT_EQ(forest.resolve_engine(ForestEngine::kAuto),
               ForestEngine::kCompiled);
   }
   // An explicit per-call engine wins over the environment.
   {
-    ScopedEngineEnv env("compiled");
+    ScopedEnv env("DRCSHAP_FOREST_ENGINE", "compiled");
     EXPECT_EQ(forest.resolve_engine(ForestEngine::kExact),
               ForestEngine::kExact);
   }

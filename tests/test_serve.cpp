@@ -354,8 +354,7 @@ TEST_F(BatcherFixture, ExplainMatchesDirectEngineExactly) {
       batcher.submit(matrix_request(2, Verb::kExplain, 4, 6, features));
   ASSERT_EQ(response.status, StatusCode::kOk) << response.message;
 
-  TreeShapExplainer explainer = registry.current()->explainer;
-  explainer.set_engine(ForestEngine::kExact);
+  const TreeShapExplainer explainer = registry.current()->explainer;
   const ShapMatrix direct =
       explainer.shap_values_batch(std::span<const float>(features), 4, 1);
   EXPECT_EQ(response.base_value, explainer.base_value());
@@ -379,8 +378,7 @@ TEST_F(BatcherFixture, GlobalExplainMatchesDirectSummary) {
   EXPECT_EQ(response.n_features, 6u);
   ASSERT_EQ(response.values.size(), kGlobalStatRows * 6u);
 
-  TreeShapExplainer explainer = registry.current()->explainer;
-  explainer.set_engine(ForestEngine::kExact);
+  const TreeShapExplainer explainer = registry.current()->explainer;
   GlobalShapSummary direct(6);
   direct.add(explainer.shap_values_batch(std::span<const float>(features),
                                          kRows, 1));
@@ -474,8 +472,7 @@ TEST_F(BatcherFixture, ConcurrentSubmitsAreByteIdenticalToSolo) {
           expected = registry.current()->forest.predict_proba_all(
               std::span<const float>(features), n_rows, ForestEngine::kExact);
         } else {
-          TreeShapExplainer explainer = registry.current()->explainer;
-          explainer.set_engine(ForestEngine::kExact);
+          const TreeShapExplainer explainer = registry.current()->explainer;
           expected = explainer
                          .shap_values_batch(std::span<const float>(features),
                                             n_rows, 1)
@@ -647,8 +644,7 @@ TEST_F(ServerFixture, ScoreAndExplainOverSocketMatchDirectCalls) {
   const Response explain =
       client.call(matrix_request(2, Verb::kExplain, 4, 6, features));
   ASSERT_EQ(explain.status, StatusCode::kOk) << explain.message;
-  TreeShapExplainer explainer = model->explainer;
-  explainer.set_engine(ForestEngine::kExact);
+  const TreeShapExplainer explainer = model->explainer;
   const ShapMatrix shap =
       explainer.shap_values_batch(std::span<const float>(features), 4, 1);
   EXPECT_EQ(explain.values, shap.values);

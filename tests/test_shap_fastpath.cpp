@@ -1,10 +1,9 @@
 // Byte-identity suite for the batched fast TreeSHAP path and the
 // explanation cache: whatever combination of walk (reference recursion /
-// scalar fast / AVX2 fast), traversal engine (exact / compiled), thread
-// count, and cache configuration runs, every phi double must match the
-// reference recursion bit for bit. The fast path is only allowed to change
-// speed, never a single output bit — same contract the compiled inference
-// backend makes, now for explanations.
+// scalar fast / AVX2 fast), thread count, and cache configuration runs,
+// every phi double must match the reference recursion bit for bit. The
+// fast path is only allowed to change speed, never a single output bit —
+// same contract the compiled inference backend makes, now for explanations.
 
 #include "core/tree_shap.hpp"
 
@@ -21,6 +20,7 @@
 #include "core/explanation_cache.hpp"
 #include "core/random_forest.hpp"
 #include "features/feature_names.hpp"
+#include "obs/registry.hpp"
 #include "util/rng.hpp"
 
 namespace drcshap {
@@ -120,12 +120,10 @@ Dataset adversarial_rows(const RandomForestClassifier& forest, std::size_t n,
 /// Ground truth: the reference recursion (fast path and SIMD disabled,
 /// no cache attached), single-threaded.
 ShapMatrix reference_phi(const RandomForestClassifier& forest,
-                         const Dataset& data, ForestEngine engine) {
+                         const Dataset& data) {
   ScopedEnv fast("DRCSHAP_SHAP_FAST", "0");
   ScopedEnv cache("DRCSHAP_EXPLAIN_CACHE", "0");
-  TreeShapExplainer explainer(forest);
-  explainer.set_engine(engine);
-  return explainer.shap_values_batch(data, 1);
+  return TreeShapExplainer(forest).shap_values_batch(data, 1);
 }
 
 void check_all_configs(const RandomForestClassifier& forest,
@@ -134,48 +132,41 @@ void check_all_configs(const RandomForestClassifier& forest,
   // DRCSHAP_EXPLAIN_CACHE=0 (the kill-switch leg); the env-disabled leg
   // below pins its own "0" scope.
   ScopedEnv cache_on("DRCSHAP_EXPLAIN_CACHE", "1");
-  for (const ForestEngine engine :
-       {ForestEngine::kExact, ForestEngine::kCompiled}) {
-    SCOPED_TRACE(engine == ForestEngine::kExact ? "engine=exact"
-                                                : "engine=compiled");
-    const ShapMatrix reference = reference_phi(forest, data, engine);
+  const ShapMatrix reference = reference_phi(forest, data);
 
-    TreeShapExplainer explainer(forest);
-    explainer.set_engine(engine);
-    const auto cache = std::make_shared<ExplanationCache>();
-    for (const bool with_cache : {false, true}) {
-      SCOPED_TRACE(with_cache ? "cache=on" : "cache=off");
-      explainer.set_cache(with_cache ? cache : nullptr);
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        expect_bits_equal(reference.values,
-                          explainer.shap_values_batch(data, threads).values);
-      }
+  TreeShapExplainer explainer(forest);
+  const auto cache = std::make_shared<ExplanationCache>();
+  for (const bool with_cache : {false, true}) {
+    SCOPED_TRACE(with_cache ? "cache=on" : "cache=off");
+    explainer.set_cache(with_cache ? cache : nullptr);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      expect_bits_equal(reference.values,
+                        explainer.shap_values_batch(data, threads).values);
     }
-    // Warm cache: every row now hits; the scatter must still reproduce the
-    // reference bits exactly.
-    explainer.set_cache(cache);
+  }
+  // Warm cache: every row now hits; the scatter must still reproduce the
+  // reference bits exactly.
+  explainer.set_cache(cache);
+  expect_bits_equal(reference.values,
+                    explainer.shap_values_batch(data, 2).values);
+  EXPECT_GT(cache->stats().hits, 0u);
+
+  {
+    // Scalar fast walk (SIMD kill switch): same bits again.
+    ScopedEnv simd("DRCSHAP_SIMD", "0");
+    const TreeShapExplainer scalar_explainer(forest);
     expect_bits_equal(reference.values,
-                      explainer.shap_values_batch(data, 2).values);
-    EXPECT_GT(cache->stats().hits, 0u);
-
-    {
-      // Scalar fast walk (SIMD kill switch): same bits again.
-      ScopedEnv simd("DRCSHAP_SIMD", "0");
-      TreeShapExplainer scalar_explainer(forest);
-      scalar_explainer.set_engine(engine);
-      expect_bits_equal(reference.values,
-                        scalar_explainer.shap_values_batch(data, 1).values);
-    }
-    {
-      // Cache attached but disabled by env: bypassed, bits unchanged.
-      ScopedEnv off("DRCSHAP_EXPLAIN_CACHE", "0");
-      const ExplanationCacheStats before = cache->stats();
-      expect_bits_equal(reference.values,
-                        explainer.shap_values_batch(data, 1).values);
-      const ExplanationCacheStats after = cache->stats();
-      EXPECT_EQ(before.hits + before.misses, after.hits + after.misses);
-    }
+                      scalar_explainer.shap_values_batch(data, 1).values);
+  }
+  {
+    // Cache attached but disabled by env: bypassed, bits unchanged.
+    ScopedEnv off("DRCSHAP_EXPLAIN_CACHE", "0");
+    const ExplanationCacheStats before = cache->stats();
+    expect_bits_equal(reference.values,
+                      explainer.shap_values_batch(data, 1).values);
+    const ExplanationCacheStats after = cache->stats();
+    EXPECT_EQ(before.hits + before.misses, after.hits + after.misses);
   }
 }
 
@@ -231,9 +222,64 @@ TEST(ShapFastPath, HandBuiltAdversarialTrees) {
   check_all_configs(forest, eval);
 }
 
+/// Rows whose floats differ but whose quantized codes coincide take the
+/// same branch at every split: the batch explains them as one unique row,
+/// and each still gets exactly the phi of its own reference recursion.
+TEST(ShapFastPath, EqualCodesDedupeToOneRowWithEachRowsOwnPhi) {
+  const Dataset train = random_data(240, 10, 21);
+  RandomForestOptions options;
+  options.n_trees = 20;
+  options.seed = 21;
+  RandomForestClassifier forest(options);
+  forest.fit(train);
+  const CompiledForest* compiled = forest.compiled();
+  ASSERT_NE(compiled, nullptr);
+
+  // Nudge feature 0 of a training row up one ulp; keep the first row where
+  // that crosses no split threshold.
+  std::vector<float> a, b;
+  std::vector<std::uint16_t> codes_a(10), codes_b(10);
+  for (std::size_t r = 0; r < train.n_rows() && a.empty(); ++r) {
+    std::vector<float> x(train.row(r).begin(), train.row(r).end());
+    std::vector<float> y = x;
+    y[0] = std::nextafter(x[0], 2.0f);
+    compiled->quantize_sample(x.data(), codes_a.data());
+    compiled->quantize_sample(y.data(), codes_b.data());
+    if (codes_a == codes_b) {
+      a = std::move(x);
+      b = std::move(y);
+    }
+  }
+  ASSERT_FALSE(a.empty());
+  ASSERT_NE(a[0], b[0]);
+
+  Dataset pair(10);
+  pair.append_row(a, 0, 0);
+  pair.append_row(b, 0, 0);
+  const auto unique_rows = [] {
+    const obs::Snapshot snap = obs::snapshot();
+    const auto it = snap.counters.find("shap/batch_unique_rows");
+    return it == snap.counters.end() ? std::uint64_t{0} : it->second;
+  };
+  const std::uint64_t before = unique_rows();
+  const ShapMatrix phi = TreeShapExplainer(forest).shap_values_batch(pair, 1);
+  if (obs::kEnabled) {
+    EXPECT_EQ(unique_rows() - before, 1u);
+  }
+
+  for (std::size_t r = 0; r < 2; ++r) {
+    SCOPED_TRACE("row " + std::to_string(r));
+    Dataset one(10);
+    one.append_row(r == 0 ? a : b, 0, 0);
+    const auto row = phi.row(r);
+    expect_bits_equal(reference_phi(forest, one).values,
+                      std::vector<double>(row.begin(), row.end()));
+  }
+}
+
 /// The full 14-design suite at test scale, one fitted forest: reference
-/// recursion vs the fast path across engines, thread counts, and both
-/// cache configurations, byte-identical on every design's real feature
+/// recursion vs the fast path across thread counts and both cache
+/// configurations, byte-identical on every design's real feature
 /// distribution.
 TEST(ShapFastPathSuite, AllSuiteDesignsByteIdentical) {
   ScopedEnv cache_on("DRCSHAP_EXPLAIN_CACHE", "1");
@@ -263,16 +309,12 @@ TEST(ShapFastPathSuite, AllSuiteDesignsByteIdentical) {
     for (std::size_t r = 0; r < rows.size(); ++r) rows[r] = r;
     const Dataset d = designs[i].subset(rows);
 
-    const ShapMatrix reference = reference_phi(forest, d, ForestEngine::kExact);
-    for (const ForestEngine engine :
-         {ForestEngine::kExact, ForestEngine::kCompiled}) {
-      // Engines are byte-identical to each other, so one reference serves
-      // both (proved independently by the fuzz test above).
-      TreeShapExplainer explainer(forest);
-      explainer.set_engine(engine);
-      expect_bits_equal(reference.values,
-                        explainer.shap_values_batch(d, 3).values);
-      explainer.set_cache(cache);  // cold insert on first engine, hits later
+    const ShapMatrix reference = reference_phi(forest, d);
+    TreeShapExplainer explainer(forest);
+    expect_bits_equal(reference.values,
+                      explainer.shap_values_batch(d, 3).values);
+    explainer.set_cache(cache);
+    for (int pass = 0; pass < 2; ++pass) {  // cold inserts, then hits
       expect_bits_equal(reference.values,
                         explainer.shap_values_batch(d, 1).values);
     }

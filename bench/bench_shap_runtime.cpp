@@ -7,7 +7,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -137,8 +136,9 @@ BENCHMARK(BM_TreeShapBatch_Threads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 
 // ---- fast path vs reference recursion, and the explanation cache ---------
 // Three serial per-row legs (1 thread, CPU-time comparable across runs):
-//   SerialReference — the Algorithm-2 recursion (DRCSHAP_SHAP_FAST=0),
-//                     no cache: the pre-fast-path cold baseline.
+//   SerialReference — the Algorithm-2 recursion (one single-sample
+//                     shap_values call per row), no cache: the
+//                     pre-fast-path cold baseline.
 //   SerialFastCold  — the batch-amortized fast walk, no cache: the pure
 //                     engine speedup on never-seen rows.
 //   RepeatSweep     — the fast walk plus the explanation cache on a
@@ -152,17 +152,14 @@ BENCHMARK(BM_TreeShapBatch_Threads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 // runner-fleet drift in a way absolute gates are not.
 
 void BM_ShapExplainSerialReference(benchmark::State& state) {
-  ::setenv("DRCSHAP_SHAP_FAST", "0", 1);
   const Dataset& data = paper_scale_data();
   const TreeShapExplainer explainer(paper_scale_forest());
   const auto n_rows = static_cast<std::size_t>(state.range(0));
-  std::vector<std::size_t> rows(n_rows);
-  std::iota(rows.begin(), rows.end(), 0);
-  const Dataset batch = data.subset(rows);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(explainer.shap_values_batch(batch, 1));
+    for (std::size_t r = 0; r < n_rows; ++r) {
+      benchmark::DoNotOptimize(explainer.shap_values(data.row(r)));
+    }
   }
-  ::unsetenv("DRCSHAP_SHAP_FAST");
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * n_rows));
 }

@@ -1,9 +1,7 @@
 #include "core/explanation_cache.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
-#include <string_view>
 
 namespace drcshap {
 
@@ -26,14 +24,6 @@ std::uint64_t ExplanationCache::digest(const void* bytes, std::size_t len) {
     h *= 1099511628211ull;  // FNV prime
   }
   return h;
-}
-
-bool ExplanationCache::enabled_by_env() {
-  const char* env = std::getenv("DRCSHAP_EXPLAIN_CACHE");
-  if (env == nullptr) return true;
-  const std::string_view value(env);
-  return !(value == "0" || value == "off" || value == "false" ||
-           value == "OFF" || value == "FALSE");
 }
 
 namespace {

@@ -23,9 +23,10 @@
 // ServedModel owns a fresh cache, so stale entries die with the retired
 // model instead of being invalidated in place (version-keyed by identity).
 //
-// $DRCSHAP_EXPLAIN_CACHE=0 is the kill switch (mirroring $DRCSHAP_SIMD):
-// explainers skip an attached cache entirely, for A/B runs and for proving
-// the fast path correct with caching out of the picture.
+// A cache is used only where its owner attaches one
+// (TreeShapExplainer::set_cache); an explainer without one recomputes every
+// row, which is how tests prove the fast path correct with caching out of
+// the picture.
 
 #include <atomic>
 #include <cstddef>
@@ -90,11 +91,6 @@ class ExplanationCache {
 
   /// FNV-1a 64 over arbitrary key bytes — shard selector and bucket key.
   static std::uint64_t digest(const void* bytes, std::size_t len);
-
-  /// False when $DRCSHAP_EXPLAIN_CACHE is "0"/"off"/"false" — explainers
-  /// then bypass any attached cache. Unset or anything else means enabled;
-  /// re-read on every call so tests can flip it per scope.
-  static bool enabled_by_env();
 
  private:
   struct Entry {

@@ -6,16 +6,15 @@
 // oracle), and the *compiled* engine runs the quantized, branch-free,
 // batch-of-8 CompiledForest layout. Both produce byte-identical
 // probabilities (proved by tests/test_compiled_forest.cpp), so selection is
-// purely a performance choice: per call via the ForestEngine argument, or
-// process-wide via $DRCSHAP_FOREST_ENGINE.
+// purely a performance choice, made per call via the ForestEngine argument.
 
 #include <string_view>
 
 namespace drcshap {
 
 enum class ForestEngine {
-  /// Defer to $DRCSHAP_FOREST_ENGINE; if that is unset (or "auto"), use the
-  /// compiled engine whenever the fitted model quantizes, else exact.
+  /// Batches use the compiled engine whenever the fitted model quantizes,
+  /// else exact; single samples use exact.
   kAuto = 0,
   /// FlatForest float-threshold traversal — the reference oracle.
   kExact,
@@ -26,11 +25,5 @@ enum class ForestEngine {
 
 /// "auto" / "exact" / "compiled".
 std::string_view forest_engine_name(ForestEngine engine);
-
-/// Parses $DRCSHAP_FOREST_ENGINE: "exact", "compiled", "auto" or unset/empty
-/// (= auto). Any other value throws std::invalid_argument — a typo in the
-/// deployment environment must fail loudly, not silently serve the wrong
-/// backend.
-ForestEngine forest_engine_from_env();
 
 }  // namespace drcshap

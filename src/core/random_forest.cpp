@@ -68,7 +68,6 @@ void RandomForestClassifier::rebuild_engines() {
 
 ForestEngine RandomForestClassifier::resolve_engine(
     ForestEngine requested) const {
-  if (requested == ForestEngine::kAuto) requested = forest_engine_from_env();
   if (requested == ForestEngine::kAuto) {
     requested =
         compiled_ != nullptr ? ForestEngine::kCompiled : ForestEngine::kExact;
@@ -94,14 +93,11 @@ double RandomForestClassifier::predict_proba(std::span<const float> features,
   }
   // Auto picks per call shape: a lone sample pays the full quantization of
   // every feature for a single descent, which costs more than the exact
-  // walk reads (~depth features) — so unless the environment or the caller
-  // pins the compiled engine, single-sample requests serve exact. Batches
-  // amortize quantization across all trees and go compiled (see
-  // predict_proba_all). Outputs are byte-identical either way.
-  ForestEngine chosen = engine;
-  if (chosen == ForestEngine::kAuto) chosen = forest_engine_from_env();
-  if (chosen == ForestEngine::kAuto) chosen = ForestEngine::kExact;
-  if (chosen == ForestEngine::kCompiled && compiled_ != nullptr) {
+  // walk reads (~depth features) — so unless the caller pins the compiled
+  // engine, single-sample requests serve exact. Batches amortize
+  // quantization across all trees and go compiled (see predict_proba_all).
+  // Outputs are byte-identical either way.
+  if (engine == ForestEngine::kCompiled && compiled_ != nullptr) {
     return compiled_->predict(features.data());
   }
   return flat_->predict(features.data());

@@ -10,7 +10,7 @@
 // CompiledForest layout (quantized thresholds, breadth-first branch-free
 // descent, batch-of-8 SIMD kernel). Both return byte-identical
 // probabilities; see core/forest_engine.hpp for how a backend is chosen
-// per call or via $DRCSHAP_FOREST_ENGINE.
+// per call.
 
 #include <memory>
 
@@ -50,12 +50,11 @@ class RandomForestClassifier final : public BinaryClassifier {
   /// options().n_threads workers), each accumulating its trees in fixed
   /// order, so the result is identical to the per-row loop for any thread
   /// count. Cross-validation and grid search call this on every fold.
-  /// Served by the engine $DRCSHAP_FOREST_ENGINE selects (default: compiled
-  /// when available); the engine note/counters in the run report record
-  /// which backend ran.
+  /// Served by the compiled engine when the model quantizes, else exact;
+  /// the engine note/counters in the run report record which backend ran.
   std::vector<double> predict_proba_all(const Dataset& data) const override;
 
-  /// Same, with the backend pinned per call (kAuto = env/default rules).
+  /// Same, with the backend pinned per call (kAuto = default rules).
   /// Every engine returns byte-identical probabilities.
   std::vector<double> predict_proba_all(const Dataset& data,
                                         ForestEngine engine) const;
@@ -72,9 +71,9 @@ class RandomForestClassifier final : public BinaryClassifier {
   double predict_proba(std::span<const float> features,
                        ForestEngine engine) const;
 
-  /// The backend a request for `requested` would actually run: applies the
-  /// $DRCSHAP_FOREST_ENGINE default to kAuto and falls back to kExact when
-  /// the fitted model has no compiled layout.
+  /// The backend a batch request for `requested` would actually run: kAuto
+  /// means compiled, and kCompiled falls back to kExact when the fitted
+  /// model has no compiled layout.
   ForestEngine resolve_engine(ForestEngine requested) const;
 
   std::size_t n_parameters() const override;

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <stdexcept>
-#include <string_view>
 #include <unordered_map>
 
 #include "core/explanation_cache.hpp"
@@ -351,17 +349,6 @@ void fast_tree_shap(const ExactTraversal& tree, const ShapMeta& meta,
   }
 }
 
-/// $DRCSHAP_SHAP_FAST=0 pins the batch engine to the reference recursion —
-/// the kill switch the byte-identity tests (and a CI leg) flip to prove the
-/// fast path changes no output bit.
-bool shap_fast_from_env() {
-  const char* env = std::getenv("DRCSHAP_SHAP_FAST");
-  if (env == nullptr) return true;
-  const std::string_view value(env);
-  return !(value == "0" || value == "off" || value == "false" ||
-           value == "OFF");
-}
-
 // Trees per reduction block of the batch engine. The block partition is a
 // function of the ensemble alone — never of the thread count or the batch
 // size — so the merge structure, and therefore every last bit of the
@@ -485,11 +472,7 @@ ShapMatrix TreeShapExplainer::shap_values_batch(std::span<const float> features,
   DRCSHAP_OBS_TIMER("shap/values_batch");
   obs::counter_add("shap/batch_samples", n_rows);
   const CompiledForest* compiled = compiled_.get();
-  const bool fast = shap_fast_from_env();
-  obs::note_set("shap/fast_path", fast ? "on" : "off");
-  ExplanationCache* cache =
-      (cache_ != nullptr && ExplanationCache::enabled_by_env()) ? cache_.get()
-                                                                : nullptr;
+  ExplanationCache* cache = cache_.get();
   ShapMatrix out;
   out.n_rows = n_rows;
   out.n_features = n_features;
@@ -569,8 +552,7 @@ ShapMatrix TreeShapExplainer::shap_values_batch(std::span<const float> features,
   }
 
   // --- Compute the remaining rows with the same block/merge structure as
-  // ever (bit-identical at any thread count), through the fast walk unless
-  // the kill switch pinned the reference recursion.
+  // ever (bit-identical at any thread count), through the fast walk.
   if (!pending.empty()) {
     const std::size_t n_trees = flat.n_trees();
     const std::size_t n_blocks =
@@ -580,14 +562,11 @@ ShapMatrix TreeShapExplainer::shap_values_batch(std::span<const float> features,
     const std::size_t scratch_len = path_scratch_len(flat);
     obs::counter_add("shap/tree_traversals", pending.size() * n_trees);
 
-    const ShapMeta* meta = nullptr;
-    if (fast) {
-      std::call_once(meta_->once, [&] { meta_->meta = build_meta(flat); });
-      meta = &meta_->meta;
-    }
+    std::call_once(meta_->once, [&] { meta_->meta = build_meta(flat); });
+    const ShapMeta& meta = meta_->meta;
 
-    // One scratch slot per shared-pool worker: the Algorithm-2 path storage
-    // plus the fast walk's frame stack. Ranges may also run inline on the
+    // One scratch slot per shared-pool worker: the unique-path storage plus
+    // the fast walk's frame stack. Ranges may also run inline on the
     // calling thread (worker index -1 when it is not a pool worker), but
     // only when nothing was submitted — a serial-degraded nested call runs
     // entirely on its outer worker, and a top-level inline run has no
@@ -612,34 +591,30 @@ ShapMatrix TreeShapExplainer::shap_values_batch(std::span<const float> features,
     // The AVX2+FMA walk batches each tree's leaf chains through vector
     // kernels; it is byte-identical to the scalar walk, entered only behind
     // the build flag + runtime cpuid + $DRCSHAP_SIMD, and bounded by the
-    // reciprocal table depth.
+    // reciprocal table depth and by the per-worker leaf-pool budget (one
+    // very wide, deep tree would otherwise cost gigabytes per worker).
 #if DRCSHAP_SIMD_ENABLED
     const bool simd_walk =
-        fast && shap_detail::simd_walk_available() &&
-        flat.max_depth() <= shap_detail::kSimdWalkMaxDepth;
+        shap_detail::simd_walk_available() &&
+        flat.max_depth() <= shap_detail::kSimdWalkMaxDepth &&
+        shap_detail::job_engine_bytes(stride, meta.max_leaves) <=
+            shap_detail::kJobEngineByteBudget;
 #else
     const bool simd_walk = false;
 #endif
-    obs::note_set("shap/walk",
-                  !fast ? "reference" : (simd_walk ? "avx2" : "scalar"));
+    obs::note_set("shap/walk", simd_walk ? "avx2" : "scalar");
     // Accumulate trees [t_begin, t_end) for row `row` into `phi` in fixed
     // tree order.
     auto accumulate_trees = [&](std::size_t row, double* phi,
                                 std::size_t t_begin, std::size_t t_end) {
       WorkerScratch& ws = worker_scratch();
-      const float* x = features.data() + row * n_features;
-      if (meta == nullptr) {
-        for (std::size_t t = t_begin; t < t_end; ++t) {
-          flat_tree_shap(flat, t, x, phi, ws.path.data(), stride);
-        }
-        return;
-      }
-      const ExactTraversal trav = exact_traversal(flat, x);
+      const ExactTraversal trav =
+          exact_traversal(flat, features.data() + row * n_features);
 #if DRCSHAP_SIMD_ENABLED
       if (simd_walk) {
-        ws.engine.init(stride, meta->max_leaves);
+        ws.engine.init(stride, meta.max_leaves);
         for (std::size_t t = t_begin; t < t_end; ++t) {
-          shap_detail::fast_tree_shap_avx2(trav, *meta, flat.root(t), phi,
+          shap_detail::fast_tree_shap_avx2(trav, meta, flat.root(t), phi,
                                            ws.path.data(), stride, ws.stack,
                                            ws.engine);
         }
@@ -647,7 +622,7 @@ ShapMatrix TreeShapExplainer::shap_values_batch(std::span<const float> features,
       }
 #endif
       for (std::size_t t = t_begin; t < t_end; ++t) {
-        fast_tree_shap(trav, *meta, flat.root(t), phi, ws.path.data(), stride,
+        fast_tree_shap(trav, meta, flat.root(t), phi, ws.path.data(), stride,
                        ws.stack);
       }
     };

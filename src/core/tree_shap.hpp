@@ -25,7 +25,7 @@
 // monotone u16 quantization preserves every split decision, so rows with
 // equal codes share one phi row (see the dedupe below).
 //
-// The batch engine additionally runs a *fast path* that amortizes the
+// The batch engine always runs a *fast path* that amortizes the
 // sample-independent half of Algorithm 2 across the whole batch. The key
 // observation: a sample enters the recursion only through the hot/cold
 // branch decision at each split. Everything else — the unique-path
@@ -43,8 +43,9 @@
 // pipelines instead of stalling. Every
 // floating-point op that contributes to phi keeps its original operands and
 // order, so fast-path phi is byte-identical to the reference recursion
-// (kept verbatim behind the single-sample shap_values and the
-// $DRCSHAP_SHAP_FAST=0 kill switch).
+// (kept verbatim behind the single-sample shap_values, the oracle the
+// tests compare the batch against). The fast walk runs scalar or AVX2+FMA
+// as the CPU (and $DRCSHAP_SIMD) allows; both are byte-identical.
 //
 // On top of the fast path, shap_values_batch dedupes rows before compute:
 // rows with byte-equal keys (quantized code vectors when the forest has a
@@ -53,7 +54,8 @@
 // so each unique row is explained once and scattered to its duplicates.
 // With a shared ExplanationCache attached (core/explanation_cache.hpp),
 // unique rows are additionally served from — and inserted into — the cache,
-// carrying the dedupe across batches and serve requests.
+// carrying the dedupe across batches and serve requests. Without one,
+// every unique row is computed.
 
 #include <cstddef>
 #include <cstdint>
@@ -93,8 +95,7 @@ class TreeShapExplainer {
   /// Attaches a shared explanation cache consulted (and filled) by
   /// shap_values_batch for each unique row. Copies of the explainer share
   /// the cache, so every copy of a served model's explainer hits one
-  /// store. nullptr detaches. $DRCSHAP_EXPLAIN_CACHE=0 bypasses an
-  /// attached cache without detaching it.
+  /// store. nullptr detaches (the default: no cache).
   void set_cache(std::shared_ptr<ExplanationCache> cache) {
     cache_ = std::move(cache);
   }

@@ -162,31 +162,44 @@ struct ShapJobEngine {
   int bucket_cap = 0;
   int init_stride = -1, init_leaves = -1;
 
+  /// Element counts of every pool for forests of path stride `stride`
+  /// whose widest tree has `max_leaves` leaves: the one sizing rule that
+  /// init() allocates and job_engine_bytes() prices.
+  struct Sizes {
+    std::size_t jobs;        ///< Job records
+    std::size_t pweights;    ///< pwpool doubles
+    std::size_t chains;      ///< entries of each f/zf/tot pool
+    std::size_t depths;      ///< unique-depth slots (max_ud + 2)
+    std::size_t bucket_cap;  ///< blocks per unique-depth bucket
+  };
+  static Sizes sizes(int stride, int max_leaves) {
+    const auto leaves = static_cast<std::size_t>(max_leaves);
+    const auto max_ud = static_cast<std::size_t>(stride - 1);
+    // Worst case per leaf: unique_depth chains + one padding block each
+    // side; +8 keeps the last 4-wide store of either pool in bounds.
+    return {leaves + 1, leaves * (max_ud + 2), leaves * (max_ud + 9),
+            max_ud + 2, leaves * ((max_ud + 4) / 4 + 1)};
+  }
+
   void init(int stride, int max_leaves) {
     if (stride <= init_stride && max_leaves <= init_leaves) return;
     init_stride = stride;
     init_leaves = max_leaves;
-    const int max_ud = stride - 1;
-    // Worst case per leaf: unique_depth chains + one padding block each
-    // side; +8 keeps the last 4-wide store of either pool in bounds.
-    const std::size_t cap_chains =
-        static_cast<std::size_t>(max_leaves) *
-        static_cast<std::size_t>(stride + 8);
-    jobs.resize(static_cast<std::size_t>(max_leaves) + 1);
-    pwpool.resize(static_cast<std::size_t>(max_leaves) *
-                  static_cast<std::size_t>(stride + 1));
-    f1.resize(cap_chains);
-    zf1.resize(cap_chains);
-    tot1.resize(cap_chains);
-    f0.resize(cap_chains);
-    zf0.resize(cap_chains);
-    tot0.resize(cap_chains);
-    bucket_cap = max_leaves * ((max_ud + 4) / 4 + 1);
-    b1_data.resize(static_cast<std::size_t>(max_ud + 2) * bucket_cap);
-    b0_data.resize(static_cast<std::size_t>(max_ud + 2) * bucket_cap);
-    b1_n.assign(static_cast<std::size_t>(max_ud) + 2, 0);
-    b0_n.assign(static_cast<std::size_t>(max_ud) + 2, 0);
-    used_ud.resize(static_cast<std::size_t>(max_ud) + 2);
+    const Sizes s = sizes(stride, max_leaves);
+    jobs.resize(s.jobs);
+    pwpool.resize(s.pweights);
+    f1.resize(s.chains);
+    zf1.resize(s.chains);
+    tot1.resize(s.chains);
+    f0.resize(s.chains);
+    zf0.resize(s.chains);
+    tot0.resize(s.chains);
+    bucket_cap = static_cast<int>(s.bucket_cap);
+    b1_data.resize(s.depths * s.bucket_cap);
+    b0_data.resize(s.depths * s.bucket_cap);
+    b1_n.assign(s.depths, 0);
+    b0_n.assign(s.depths, 0);
+    used_ud.resize(s.depths);
     n_jobs = 0;
     n_pw = 0;
     n1 = 0;
@@ -205,6 +218,22 @@ struct ShapJobEngine {
     n_used = 0;
   }
 };
+
+/// Bytes one worker's ShapJobEngine::init(stride, max_leaves) allocates:
+/// O(max_leaves * stride^2), dominated by the per-unique-depth block
+/// buckets. A 131k-leaf, depth-17 tree needs ~1.4 GB.
+inline std::size_t job_engine_bytes(int stride, int max_leaves) {
+  using E = ShapJobEngine;
+  const E::Sizes s = E::sizes(stride, max_leaves);
+  return s.jobs * sizeof(E::Job) + s.pweights * sizeof(double) +
+         s.chains * 2 * (sizeof(std::int32_t) + 2 * sizeof(double)) +
+         s.depths * s.bucket_cap * 2 * sizeof(E::Block) +
+         s.depths * 3 * sizeof(std::int32_t);
+}
+
+/// Per-worker ceiling on job_engine_bytes: forests above it take the scalar
+/// fast walk, which is byte-identical and needs only O(stride^2) scratch.
+inline constexpr std::size_t kJobEngineByteBudget = std::size_t{256} << 20;
 
 #if DRCSHAP_SIMD_ENABLED
 

@@ -7,9 +7,9 @@
 // Models with multiple inference backends keep this interface engine-
 // agnostic: the Random Forest serves predict_proba/predict_proba_all from
 // whichever ForestEngine (exact FlatForest walk or compiled quantized
-// layout — see core/forest_engine.hpp) is selected per call or via
-// $DRCSHAP_FOREST_ENGINE, with byte-identical probabilities either way, so
-// callers of this interface never observe which backend ran.
+// layout — see core/forest_engine.hpp) the call shape selects, with
+// byte-identical probabilities either way, so callers of this interface
+// never observe which backend ran.
 
 #include <memory>
 #include <span>

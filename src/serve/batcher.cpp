@@ -162,7 +162,7 @@ void Batcher::serve_verb(const std::shared_ptr<const ServedModel>& model,
     }
     obs::counter_add("serve/score_rows", total_rows);
     const std::vector<double> probs = model->forest.predict_proba_all(
-        std::span<const float>(matrix), total_rows, options_.engine);
+        std::span<const float>(matrix), total_rows, ForestEngine::kAuto);
     std::size_t offset = 0;
     for (Pending* pending : items) {
       Response& response = pending->response;

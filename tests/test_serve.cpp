@@ -19,7 +19,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -63,6 +62,12 @@ RandomForestClassifier train_forest(std::uint64_t seed,
   return forest;
 }
 
+/// Scratch path private to this process: ctest runs every test in its own
+/// process, in parallel, so fixtures must not share model files or sockets.
+std::string process_tmp_path(const std::string& name) {
+  return "/tmp/drcshap_serve_" + std::to_string(::getpid()) + "_" + name;
+}
+
 std::vector<float> random_rows(std::uint64_t seed, std::size_t n_rows,
                                std::size_t n_features) {
   Rng rng(seed);
@@ -70,29 +75,6 @@ std::vector<float> random_rows(std::uint64_t seed, std::size_t n_rows,
   for (float& value : features) value = static_cast<float>(rng.uniform());
   return features;
 }
-
-/// Pins DRCSHAP_EXPLAIN_CACHE for one scope: the cache-behaviour tests
-/// must pass even in the CI leg that exports the kill switch ("0").
-class ScopedCacheEnv {
- public:
-  explicit ScopedCacheEnv(const char* value) {
-    const char* old = std::getenv("DRCSHAP_EXPLAIN_CACHE");
-    had_ = old != nullptr;
-    if (had_) saved_ = old;
-    ::setenv("DRCSHAP_EXPLAIN_CACHE", value, 1);
-  }
-  ~ScopedCacheEnv() {
-    if (had_) {
-      ::setenv("DRCSHAP_EXPLAIN_CACHE", saved_.c_str(), 1);
-    } else {
-      ::unsetenv("DRCSHAP_EXPLAIN_CACHE");
-    }
-  }
-
- private:
-  std::string saved_;
-  bool had_ = false;
-};
 
 Request matrix_request(std::uint64_t id, Verb verb, std::uint32_t n_rows,
                        std::uint32_t n_features, std::vector<float> features) {
@@ -315,7 +297,7 @@ TEST(ServeRegistry, ReloadRetiresAndDrains) {
 
 struct BatcherFixture : ::testing::Test {
   void SetUp() override {
-    path = "/tmp/drcshap_serve_batcher.forest";
+    path = process_tmp_path("batcher.forest");
     save_forest_file(train_forest(21), path);
     ASSERT_TRUE(registry.load(path).ok());
   }
@@ -327,7 +309,6 @@ struct BatcherFixture : ::testing::Test {
 
 TEST_F(BatcherFixture, ScoreMatchesDirectEngineExactly) {
   BatchOptions options;
-  options.engine = ForestEngine::kExact;
   Batcher batcher(registry, options);
 
   const std::vector<float> features = random_rows(31, 5, 6);
@@ -346,7 +327,6 @@ TEST_F(BatcherFixture, ScoreMatchesDirectEngineExactly) {
 
 TEST_F(BatcherFixture, ExplainMatchesDirectEngineExactly) {
   BatchOptions options;
-  options.engine = ForestEngine::kExact;
   Batcher batcher(registry, options);
 
   const std::vector<float> features = random_rows(32, 4, 6);
@@ -366,7 +346,6 @@ TEST_F(BatcherFixture, ExplainMatchesDirectEngineExactly) {
 
 TEST_F(BatcherFixture, GlobalExplainMatchesDirectSummary) {
   BatchOptions options;
-  options.engine = ForestEngine::kExact;
   Batcher batcher(registry, options);
 
   constexpr std::uint32_t kRows = 6;
@@ -393,9 +372,7 @@ TEST_F(BatcherFixture, GlobalExplainMatchesDirectSummary) {
 }
 
 TEST_F(BatcherFixture, ExplainCacheCountersAccumulateInStats) {
-  ScopedCacheEnv cache_on("1");
   BatchOptions options;
-  options.engine = ForestEngine::kExact;
   Batcher batcher(registry, options);
 
   const std::vector<float> features = random_rows(37, 4, 6);
@@ -414,9 +391,7 @@ TEST_F(BatcherFixture, ExplainCacheCountersAccumulateInStats) {
 }
 
 TEST_F(BatcherFixture, HotSwapGetsFreshExplanationCache) {
-  ScopedCacheEnv cache_on("1");
   BatchOptions options;
-  options.engine = ForestEngine::kExact;
   Batcher batcher(registry, options);
 
   const std::vector<float> features = random_rows(38, 3, 6);
@@ -445,7 +420,6 @@ TEST_F(BatcherFixture, ConcurrentSubmitsAreByteIdenticalToSolo) {
   // requests land in shared batches at arbitrary row offsets, and each
   // reply must still equal the solo run bit for bit.
   BatchOptions options;
-  options.engine = ForestEngine::kExact;
   options.max_batch_rows = 64;
   options.flush_us = 1000;
   Batcher batcher(registry, options);
@@ -515,11 +489,10 @@ TEST_F(BatcherFixture, HotSwapUnderLoadNeverTears) {
   // between two models. Every reply must exactly equal one of the two
   // models' full answers — a mixed (torn) reply fails, as does a dropped
   // one. This is the TSan target for the swap/drain machinery.
-  const std::string path_b = "/tmp/drcshap_serve_batcher_b.forest";
+  const std::string path_b = process_tmp_path("batcher_b.forest");
   save_forest_file(train_forest(22), path_b);
 
   BatchOptions options;
-  options.engine = ForestEngine::kExact;
   options.max_batch_rows = 32;
   options.flush_us = 300;
   Batcher batcher(registry, options);
@@ -604,13 +577,12 @@ struct ServeClient {
 
 struct ServerFixture : ::testing::Test {
   void SetUp() override {
-    model_path = "/tmp/drcshap_serve_server.forest";
-    socket_path = "/tmp/drcshap_serve_server.sock";
+    model_path = process_tmp_path("server.forest");
+    socket_path = process_tmp_path("server.sock");
     save_forest_file(train_forest(41), model_path);
     ServerOptions options;
     options.model_path = model_path;
     options.socket_path = socket_path;
-    options.batch.engine = ForestEngine::kExact;
     options.batch.flush_us = 100;
     server = std::make_unique<Server>(options);
     ASSERT_TRUE(server->start().ok());
@@ -667,7 +639,7 @@ TEST_F(ServerFixture, StatsReloadAndShutdownVerbs) {
   // Reload from an explicit path (a retrained model) swaps the version.
   const std::string version_before =
       doc.at("model").at("version").as_string();
-  const std::string new_path = "/tmp/drcshap_serve_server_v2.forest";
+  const std::string new_path = process_tmp_path("server_v2.forest");
   save_forest_file(train_forest(42), new_path);
   Request reload_request;
   reload_request.id = 2;
@@ -697,7 +669,6 @@ TEST_F(ServerFixture, StatsReloadAndShutdownVerbs) {
 }
 
 TEST_F(ServerFixture, GlobalExplainAndCacheStatsOverSocket) {
-  ScopedCacheEnv cache_on("1");
   ServeClient client(socket_path);
   const std::vector<float> features = random_rows(55, 5, 6);
 
@@ -734,7 +705,6 @@ TEST_F(ServerFixture, GlobalExplainAndCacheStatsOverSocket) {
   ASSERT_EQ(stats.status, StatusCode::kOk);
   const auto doc = obs::JsonValue::parse(stats.text);
   const auto& cache = doc.at("explain_cache");
-  EXPECT_TRUE(cache.at("enabled").as_bool());
   EXPECT_GE(cache.at("hits").as_number(), 5.0);
   EXPECT_GE(cache.at("misses").as_number(), 5.0);
   EXPECT_GT(cache.at("hit_rate").as_number(), 0.0);
@@ -815,14 +785,14 @@ struct EcoServerFixture : ::testing::Test {
     forest_options.n_trees = 25;
     RandomForestClassifier forest(forest_options);
     forest.fit(train);
-    save_forest_file(forest, kModelPath);
+    save_forest_file(forest, model_path());
   }
-  static void TearDownTestSuite() { std::remove(kModelPath); }
+  static void TearDownTestSuite() { std::remove(model_path().c_str()); }
 
   void SetUp() override {
-    socket_path = "/tmp/drcshap_serve_eco.sock";
+    socket_path = process_tmp_path("eco.sock");
     ServerOptions options;
-    options.model_path = kModelPath;
+    options.model_path = model_path();
     options.socket_path = socket_path;
     options.batch.flush_us = 100;
     options.eco_design = "bridge32_a";
@@ -845,7 +815,7 @@ struct EcoServerFixture : ::testing::Test {
     return request;
   }
 
-  static constexpr const char* kModelPath = "/tmp/drcshap_serve_eco.forest";
+  static std::string model_path() { return process_tmp_path("eco.forest"); }
   std::string socket_path;
   std::unique_ptr<Server> server;
   std::thread runner;

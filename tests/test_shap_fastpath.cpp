@@ -1,7 +1,7 @@
 // Byte-identity suite for the batched fast TreeSHAP path and the
-// explanation cache: whatever combination of walk (reference recursion /
-// scalar fast / AVX2 fast), thread count, and cache configuration runs,
-// every phi double must match the reference recursion bit for bit. The
+// explanation cache: whatever combination of walk (scalar fast / AVX2
+// fast), thread count, and cache configuration runs, every phi double must
+// match the reference recursion (single-sample shap_values) bit for bit. The
 // fast path is only allowed to change speed, never a single output bit —
 // same contract the compiled inference backend makes, now for explanations.
 
@@ -19,6 +19,7 @@
 #include "benchsuite/suite.hpp"
 #include "core/explanation_cache.hpp"
 #include "core/random_forest.hpp"
+#include "core/tree_shap_simd.hpp"
 #include "features/feature_names.hpp"
 #include "obs/registry.hpp"
 #include "util/rng.hpp"
@@ -117,21 +118,25 @@ Dataset adversarial_rows(const RandomForestClassifier& forest, std::size_t n,
   return d;
 }
 
-/// Ground truth: the reference recursion (fast path and SIMD disabled,
-/// no cache attached), single-threaded.
+/// Ground truth: the Algorithm-2 reference recursion, one shap_values call
+/// per row. The batch sums trees in the same order and scales once, so the
+/// two agree bit for bit on forests of at most one tree block (64 trees),
+/// which every forest here is.
 ShapMatrix reference_phi(const RandomForestClassifier& forest,
                          const Dataset& data) {
-  ScopedEnv fast("DRCSHAP_SHAP_FAST", "0");
-  ScopedEnv cache("DRCSHAP_EXPLAIN_CACHE", "0");
-  return TreeShapExplainer(forest).shap_values_batch(data, 1);
+  const TreeShapExplainer explainer(forest);
+  ShapMatrix out;
+  out.n_rows = data.n_rows();
+  out.n_features = data.n_features();
+  for (std::size_t r = 0; r < data.n_rows(); ++r) {
+    const std::vector<double> phi = explainer.shap_values(data.row(r));
+    out.values.insert(out.values.end(), phi.begin(), phi.end());
+  }
+  return out;
 }
 
 void check_all_configs(const RandomForestClassifier& forest,
                        const Dataset& data) {
-  // The cache-on legs must work even when the CI job under test exports
-  // DRCSHAP_EXPLAIN_CACHE=0 (the kill-switch leg); the env-disabled leg
-  // below pins its own "0" scope.
-  ScopedEnv cache_on("DRCSHAP_EXPLAIN_CACHE", "1");
   const ShapMatrix reference = reference_phi(forest, data);
 
   TreeShapExplainer explainer(forest);
@@ -158,15 +163,6 @@ void check_all_configs(const RandomForestClassifier& forest,
     const TreeShapExplainer scalar_explainer(forest);
     expect_bits_equal(reference.values,
                       scalar_explainer.shap_values_batch(data, 1).values);
-  }
-  {
-    // Cache attached but disabled by env: bypassed, bits unchanged.
-    ScopedEnv off("DRCSHAP_EXPLAIN_CACHE", "0");
-    const ExplanationCacheStats before = cache->stats();
-    expect_bits_equal(reference.values,
-                      explainer.shap_values_batch(data, 1).values);
-    const ExplanationCacheStats after = cache->stats();
-    EXPECT_EQ(before.hits + before.misses, after.hits + after.misses);
   }
 }
 
@@ -277,12 +273,121 @@ TEST(ShapFastPath, EqualCodesDedupeToOneRowWithEachRowsOwnPhi) {
   }
 }
 
+/// One tree with a `spine`-long chain of splits (each with a leaf on its
+/// left) ending in a full subtree of depth `bush`: depth spine + bush,
+/// spine + 2^bush leaves, consistent covers.
+DecisionTree spine_and_bush_tree(int spine, int bush, std::size_t n_features,
+                                 std::uint64_t seed) {
+  std::vector<TreeNode> nodes;
+  Rng rng(seed);
+  const auto leaf = [&] {
+    nodes.push_back({-1, 0.0f, -1, -1, rng.uniform(), 1.0});
+    return static_cast<std::int32_t>(nodes.size() - 1);
+  };
+  const auto grow = [&](const auto& self, int depth) -> std::int32_t {
+    if (depth == spine + bush) return leaf();
+    const auto index = static_cast<std::int32_t>(nodes.size());
+    nodes.emplace_back();
+    const std::int32_t left = depth < spine ? leaf() : self(self, depth + 1);
+    const std::int32_t right = self(self, depth + 1);
+    const TreeNode& l = nodes[static_cast<std::size_t>(left)];
+    const TreeNode& r = nodes[static_cast<std::size_t>(right)];
+    const double cover = l.cover + r.cover;
+    nodes[static_cast<std::size_t>(index)] = {
+        static_cast<std::int32_t>(static_cast<std::size_t>(depth) %
+                                  n_features),
+        static_cast<float>(rng.uniform()), left, right,
+        (l.value * l.cover + r.value * r.cover) / cover, cover};
+    return index;
+  };
+  grow(grow, 0);
+  DecisionTree tree;
+  tree.set_nodes(std::move(nodes), n_features);
+  return tree;
+}
+
+std::string walk_note() {
+  const obs::Snapshot snap = obs::snapshot();
+  const auto it = snap.notes.find("shap/walk");
+  return it == snap.notes.end() ? std::string() : it->second;
+}
+
+TEST(ShapFastPath, JobEngineBytesPricesInitAtBothEndsOfBudget) {
+  using shap_detail::job_engine_bytes;
+  using shap_detail::kJobEngineByteBudget;
+  // A 500-tree forest of depth 30 with at most 236 leaves per tree stays
+  // far under the budget; one 131k-leaf, depth-17 tree is far over it.
+  EXPECT_LT(job_engine_bytes(32, 236), std::size_t{8} << 20);
+  EXPECT_LT(job_engine_bytes(32, 236), kJobEngineByteBudget);
+  EXPECT_GT(job_engine_bytes(19, 131072), std::size_t{1} << 30);
+  EXPECT_GT(job_engine_bytes(19, 131072), kJobEngineByteBudget);
+
+  // The price is exactly what init allocates.
+  shap_detail::ShapJobEngine engine;
+  engine.init(32, 236);
+  using Engine = shap_detail::ShapJobEngine;
+  const std::size_t allocated =
+      engine.jobs.size() * sizeof(Engine::Job) +
+      engine.pwpool.size() * sizeof(double) +
+      (engine.f1.size() + engine.f0.size()) * sizeof(std::int32_t) +
+      (engine.zf1.size() + engine.zf0.size() + engine.tot1.size() +
+       engine.tot0.size()) *
+          sizeof(double) +
+      (engine.b1_data.size() + engine.b0_data.size()) * sizeof(Engine::Block) +
+      (engine.b1_n.size() + engine.b0_n.size() + engine.used_ud.size()) *
+          sizeof(std::int32_t);
+  EXPECT_EQ(allocated, job_engine_bytes(32, 236));
+}
+
+/// The leaf-pool budget picks the walk from the model: an ordinary forest
+/// keeps the AVX2 walk where the CPU has it, and a forest whose pools
+/// would blow the budget takes the scalar walk. Both stay byte-identical
+/// to the reference recursion.
+TEST(ShapFastPath, LeafPoolBudgetPicksTheWalk) {
+#if DRCSHAP_SIMD_ENABLED
+  const bool avx2 = shap_detail::simd_walk_available();
+#else
+  const bool avx2 = false;
+#endif
+  {
+    SCOPED_TRACE("under budget");
+    const Dataset train = random_data(240, 10, 31);
+    RandomForestOptions options;
+    options.n_trees = 20;
+    options.seed = 31;
+    RandomForestClassifier forest(options);
+    forest.fit(train);
+    const Dataset eval = adversarial_rows(forest, 12, 131);
+    const ShapMatrix phi = TreeShapExplainer(forest).shap_values_batch(eval);
+    if (obs::kEnabled) {
+      EXPECT_EQ(walk_note(), avx2 ? "avx2" : "scalar");
+    }
+    expect_bits_equal(reference_phi(forest, eval).values, phi.values);
+  }
+  {
+    SCOPED_TRACE("over budget");
+    const DecisionTree tree = spine_and_bush_tree(87, 11, 4, 32);
+    ASSERT_EQ(tree.n_leaves(), 87u + 2048u);
+    RandomForestClassifier forest;
+    forest.set_trees({tree}, RandomForestOptions{});
+    ASSERT_GT(shap_detail::job_engine_bytes(forest.flat().max_depth() + 2,
+                                            static_cast<int>(tree.n_leaves())),
+              shap_detail::kJobEngineByteBudget);
+    const Dataset eval = random_data(8, 4, 33);
+    const ShapMatrix phi = TreeShapExplainer(forest).shap_values_batch(eval);
+    if (obs::kEnabled) {
+      EXPECT_EQ(walk_note(), "scalar");
+    }
+    expect_bits_equal(reference_phi(forest, eval).values, phi.values);
+    check_all_configs(forest, eval);
+  }
+}
+
 /// The full 14-design suite at test scale, one fitted forest: reference
 /// recursion vs the fast path across thread counts and both cache
 /// configurations, byte-identical on every design's real feature
 /// distribution.
 TEST(ShapFastPathSuite, AllSuiteDesignsByteIdentical) {
-  ScopedEnv cache_on("DRCSHAP_EXPLAIN_CACHE", "1");
   PipelineOptions tiny;
   tiny.generator.scale = 16.0;
 

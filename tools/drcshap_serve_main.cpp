@@ -19,11 +19,15 @@
 // artifact envelope — the fixture model the CI serve-smoke job (and local
 // experiments) run the daemon against.
 
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "core/model_io.hpp"
@@ -49,7 +53,6 @@ int usage(const char* argv0) {
       stderr,
       "usage: %s --model PATH (--socket PATH | --stdio)\n"
       "          [--max-batch ROWS] [--flush-us US] [--threads N]\n"
-      "          [--engine auto|exact|compiled] [--explain-cache on|off]\n"
       "          [--eco-design NAME] [--eco-scale S]\n"
       "       %s --make-fixture PATH [--features N] [--rows N] [--trees N]\n"
       "          [--seed S]\n"
@@ -73,24 +76,34 @@ int usage(const char* argv0) {
       "  --max-batch ROWS    batcher row cap per dispatched batch\n"
       "  --flush-us US       batcher flush window in microseconds\n"
       "  --threads N         worker threads per batch (0 = whole pool)\n"
-      "  --engine E          scoring backend: auto|exact|compiled\n"
-      "                      (explanations always walk the exact forest)\n"
-      "  --explain-cache M   on|off; exports DRCSHAP_EXPLAIN_CACHE\n"
       "  --eco-design NAME   benchmark-suite design to hold resident for\n"
       "                      the eco verb (requires a pipeline-schema model)\n"
       "  --eco-scale S       generator scale for the resident design\n"
       "                      (default 16; 1 = full size)\n"
       "\n"
-      "environment kill switches (read per call unless noted):\n"
-      "  DRCSHAP_EXPLAIN_CACHE=0   disable the explanation cache\n"
-      "  DRCSHAP_SHAP_FAST=0       disable the batched TreeSHAP fast path\n"
+      "environment:\n"
       "  DRCSHAP_SIMD=0            disable AVX2 kernels (scalar fallback)\n"
-      "  DRCSHAP_FOREST_ENGINE=exact|compiled  override the scoring backend\n"
       "  DRCSHAP_THREADS=N         cap the shared thread pool (at startup)\n"
       "  DRCSHAP_RUNREPORT=PATH    write the exit run report here\n"
       "  DRCSHAP_RUNREPORT_PER_PROCESS=1  suffix the report with .pid\n",
       argv0, argv0);
   return 2;
+}
+
+/// Strict numeric flag value: all of `text` must be one non-negative,
+/// finite number that fits T — no sign, blanks or trailing characters.
+template <typename T>
+bool parse_number(const char* text, T& out) {
+  const char* end = text + std::strlen(text);
+  if (text == end || *text == '-') return false;
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return false;
+  }
+  out = value;
+  return true;
 }
 
 struct FixtureOptions {
@@ -142,6 +155,14 @@ int main(int argc, char** argv) {
     }
     return argv[++i];
   };
+  const auto next_number = [&](int& i, auto& out) {
+    const char* text = next_arg(i);
+    if (!parse_number(text, out)) {
+      std::fprintf(stderr, "%s: %s wants a non-negative number, got '%s'\n",
+                   argv[0], argv[i - 1], text);
+      std::exit(usage(argv[0]));
+    }
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--model") {
@@ -151,54 +172,26 @@ int main(int argc, char** argv) {
     } else if (arg == "--stdio") {
       stdio = true;
     } else if (arg == "--max-batch") {
-      options.batch.max_batch_rows =
-          static_cast<std::size_t>(std::strtoull(next_arg(i), nullptr, 10));
+      next_number(i, options.batch.max_batch_rows);
     } else if (arg == "--flush-us") {
-      options.batch.flush_us =
-          static_cast<std::uint32_t>(std::strtoul(next_arg(i), nullptr, 10));
+      next_number(i, options.batch.flush_us);
     } else if (arg == "--threads") {
-      options.batch.n_threads =
-          static_cast<std::size_t>(std::strtoull(next_arg(i), nullptr, 10));
-    } else if (arg == "--engine") {
-      const std::string name = next_arg(i);
-      if (name == "auto") {
-        options.batch.engine = drcshap::ForestEngine::kAuto;
-      } else if (name == "exact") {
-        options.batch.engine = drcshap::ForestEngine::kExact;
-      } else if (name == "compiled") {
-        options.batch.engine = drcshap::ForestEngine::kCompiled;
-      } else {
-        return usage(argv[0]);
-      }
-    } else if (arg == "--explain-cache") {
-      // Flag form of $DRCSHAP_EXPLAIN_CACHE: the explainer re-reads the
-      // variable per call, so exporting it here is the single source of
-      // truth for every batch this daemon serves.
-      const std::string name = next_arg(i);
-      if (name == "on") {
-        ::setenv("DRCSHAP_EXPLAIN_CACHE", "1", 1);
-      } else if (name == "off") {
-        ::setenv("DRCSHAP_EXPLAIN_CACHE", "0", 1);
-      } else {
-        return usage(argv[0]);
-      }
+      next_number(i, options.batch.n_threads);
     } else if (arg == "--eco-design") {
       options.eco_design = next_arg(i);
     } else if (arg == "--eco-scale") {
-      options.eco_scale = std::strtod(next_arg(i), nullptr);
+      next_number(i, options.eco_scale);
     } else if (arg == "--make-fixture") {
       fixture_mode = true;
       fixture.path = next_arg(i);
     } else if (arg == "--features") {
-      fixture.n_features =
-          static_cast<std::size_t>(std::strtoull(next_arg(i), nullptr, 10));
+      next_number(i, fixture.n_features);
     } else if (arg == "--rows") {
-      fixture.n_rows =
-          static_cast<std::size_t>(std::strtoull(next_arg(i), nullptr, 10));
+      next_number(i, fixture.n_rows);
     } else if (arg == "--trees") {
-      fixture.n_trees = std::atoi(next_arg(i));
+      next_number(i, fixture.n_trees);
     } else if (arg == "--seed") {
-      fixture.seed = std::strtoull(next_arg(i), nullptr, 10);
+      next_number(i, fixture.seed);
     } else {
       return usage(argv[0]);
     }

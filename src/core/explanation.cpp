@@ -84,7 +84,7 @@ Explanation explain_sample(const TreeShapExplainer& explainer,
                            std::span<const float> features,
                            std::vector<std::string> feature_names) {
   return Explanation(explainer.base_value(), forest.predict_proba(features),
-                     explainer.shap_values(features),
+                     explainer.shap_values_batch(features, 1).values,
                      std::vector<float>(features.begin(), features.end()),
                      std::move(feature_names));
 }

@@ -50,7 +50,8 @@ class Explanation {
   std::vector<std::string> feature_names_;
 };
 
-/// Convenience: run the explainer on one sample.
+/// Convenience: run the explainer on one sample, through the same batch
+/// engine (fast walk, attached cache) as explain_batch.
 Explanation explain_sample(const TreeShapExplainer& explainer,
                            const RandomForestClassifier& forest,
                            std::span<const float> features,

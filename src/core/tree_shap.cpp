@@ -1,6 +1,7 @@
 #include "core/tree_shap.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <mutex>
@@ -173,12 +174,15 @@ void flat_tree_shap(const FlatForest& forest, std::size_t tree, const float* x,
 
 /// Structural half of shap_recurse: walks one tree maintaining only the
 /// (feature, zero_fraction) path with duplicate folding, recording per-node
-/// metadata. Mirrors the reference op order exactly.
-void build_meta_recurse(const ExactTraversal& tree, ShapMeta& meta,
+/// metadata. Mirrors the reference op order exactly. `covers_positive`
+/// says every cover above this node is finite and > 0; returns whether the
+/// node is live (see ShapMeta::live), counting live leaves in `live_leaves`.
+bool build_meta_recurse(const ExactTraversal& tree, ShapMeta& meta,
                         std::int32_t node_index, int level, int unique_depth,
                         const PathElement* parent_path,
                         double parent_zero_fraction, int parent_feature_index,
-                        PathElement* storage, int stride, int& leaf_count) {
+                        bool covers_positive, PathElement* storage, int stride,
+                        int& live_leaves) {
   PathElement* path = storage + static_cast<std::size_t>(level) *
                                     static_cast<std::size_t>(stride);
   for (int i = 0; i < unique_depth; ++i) path[i] = parent_path[i];
@@ -186,9 +190,13 @@ void build_meta_recurse(const ExactTraversal& tree, ShapMeta& meta,
 
   const auto node = static_cast<std::size_t>(node_index);
   meta.entry_zero_fraction[node] = parent_zero_fraction;
+  const double cover = tree.cover[node];
+  covers_positive = covers_positive && std::isfinite(cover) && cover > 0.0;
   if (tree.is_leaf(node)) {
-    ++leaf_count;
-    return;
+    const bool live = !(covers_positive && tree.value[node] == 0.0);
+    meta.live[node] = live;
+    if (live) ++live_leaves;
+    return live;
   }
 
   const std::int32_t feature = tree.split_feature(node);
@@ -212,18 +220,22 @@ void build_meta_recurse(const ExactTraversal& tree, ShapMeta& meta,
 
   const std::int32_t left = tree.left_child(node);
   const std::int32_t right = tree.right_child(node);
-  const double cover = tree.cover[node];
   // Same expression shape as the recursion's hot/cold arguments; which
   // child is hot only swaps which of the two symmetric expressions it
   // receives, so computing both per child here is bit-equivalent.
-  build_meta_recurse(tree, meta, left, level + 1, depth_after + 1, path,
-                     tree.cover[static_cast<std::size_t>(left)] / cover *
-                         incoming_zero_fraction,
-                     feature, storage, stride, leaf_count);
-  build_meta_recurse(tree, meta, right, level + 1, depth_after + 1, path,
-                     tree.cover[static_cast<std::size_t>(right)] / cover *
-                         incoming_zero_fraction,
-                     feature, storage, stride, leaf_count);
+  const bool live_left = build_meta_recurse(
+      tree, meta, left, level + 1, depth_after + 1, path,
+      tree.cover[static_cast<std::size_t>(left)] / cover *
+          incoming_zero_fraction,
+      feature, covers_positive, storage, stride, live_leaves);
+  const bool live_right = build_meta_recurse(
+      tree, meta, right, level + 1, depth_after + 1, path,
+      tree.cover[static_cast<std::size_t>(right)] / cover *
+          incoming_zero_fraction,
+      feature, covers_positive, storage, stride, live_leaves);
+  const bool live = live_left || live_right;
+  meta.live[node] = live;
+  return live;
 }
 
 ShapMeta build_meta(const FlatForest& flat) {
@@ -231,13 +243,15 @@ ShapMeta build_meta(const FlatForest& flat) {
   ShapMeta meta;
   meta.entry_zero_fraction.assign(flat.n_nodes(), 1.0);
   meta.dup_index.assign(flat.n_nodes(), 0);
+  meta.live.assign(flat.n_nodes(), 1);
   std::vector<PathElement> storage(path_scratch_len(flat));
   for (std::size_t t = 0; t < flat.n_trees(); ++t) {
-    int leaves = 0;
+    int live_leaves = 0;
     build_meta_recurse(tree, meta, flat.root(t), /*level=*/0,
                        /*unique_depth=*/0, /*parent_path=*/nullptr, 1.0, -1,
-                       storage.data(), flat.max_depth() + 2, leaves);
-    if (leaves > meta.max_leaves) meta.max_leaves = leaves;
+                       /*covers_positive=*/true, storage.data(),
+                       flat.max_depth() + 2, live_leaves);
+    meta.max_leaves = std::max(meta.max_leaves, live_leaves);
   }
   return meta;
 }
@@ -298,10 +312,15 @@ inline void leaf_accumulate(const ExactTraversal& tree, std::size_t node,
 /// uses the precomputed metadata only to *skip* recomputing structural
 /// values (the two cover divisions and the duplicate search per node, and
 /// one of the two path copies: a cold child extends its parent's slot in
-/// place, because the parent path is dead once the hot subtree returned).
-void fast_tree_shap(const ExactTraversal& tree, const ShapMeta& meta,
-                    std::int32_t root, double* phi, PathElement* storage,
-                    int stride, std::vector<FastFrame>& stack) {
+/// place, because the parent path is dead once the hot subtree returned)
+/// and to skip dead subtrees (ShapMeta::live), whose leaves would only add
+/// signed zeros. Returns the number of leaves it reached.
+std::size_t fast_tree_shap(const ExactTraversal& tree, const ShapMeta& meta,
+                           std::int32_t root, double* phi,
+                           PathElement* storage, int stride,
+                           std::vector<FastFrame>& stack) {
+  if (meta.live[static_cast<std::size_t>(root)] == 0) return 0;
+  std::size_t leaves = 0;
   stack.clear();
   stack.push_back({root, 0, 0, -1, 1.0});
   while (!stack.empty()) {
@@ -320,6 +339,7 @@ void fast_tree_shap(const ExactTraversal& tree, const ShapMeta& meta,
                      one_fraction, feature);
       if (tree.is_leaf(node)) {
         leaf_accumulate(tree, node, path, unique_depth, phi);
+        ++leaves;
         break;
       }
       feature = tree.split_feature(node);
@@ -336,17 +356,27 @@ void fast_tree_shap(const ExactTraversal& tree, const ShapMeta& meta,
       const bool goes_left = tree.goes_left(node);
       const std::int32_t hot = goes_left ? left : right;
       const std::int32_t cold = goes_left ? right : left;
-      stack.push_back({cold, slot, depth_after + 1, feature, 0.0});
+      unique_depth = depth_after + 1;
+      if (meta.live[static_cast<std::size_t>(hot)] == 0) {
+        // Only the cold child is live (this node is): it extends this slot
+        // in place, exactly as its popped frame would.
+        node_index = cold;
+        one_fraction = 0.0;
+        continue;
+      }
+      if (meta.live[static_cast<std::size_t>(cold)] != 0) {
+        stack.push_back({cold, slot, unique_depth, feature, 0.0});
+      }
       PathElement* hot_path = storage + static_cast<std::size_t>(slot + 1) *
                                             static_cast<std::size_t>(stride);
       for (int i = 0; i <= depth_after; ++i) hot_path[i] = path[i];
       path = hot_path;
       node_index = hot;
       ++slot;
-      unique_depth = depth_after + 1;
       one_fraction = incoming_one_fraction;
     }
   }
+  return leaves;
 }
 
 // Trees per reduction block of the batch engine. The block partition is a
@@ -604,27 +634,30 @@ ShapMatrix TreeShapExplainer::shap_values_batch(std::span<const float> features,
 #endif
     obs::note_set("shap/walk", simd_walk ? "avx2" : "scalar");
     // Accumulate trees [t_begin, t_end) for row `row` into `phi` in fixed
-    // tree order.
+    // tree order, counting the leaves the walk attributed once per call.
     auto accumulate_trees = [&](std::size_t row, double* phi,
                                 std::size_t t_begin, std::size_t t_end) {
       WorkerScratch& ws = worker_scratch();
       const ExactTraversal trav =
           exact_traversal(flat, features.data() + row * n_features);
+      std::size_t leaves = 0;
 #if DRCSHAP_SIMD_ENABLED
       if (simd_walk) {
         ws.engine.init(stride, meta.max_leaves);
         for (std::size_t t = t_begin; t < t_end; ++t) {
-          shap_detail::fast_tree_shap_avx2(trav, meta, flat.root(t), phi,
-                                           ws.path.data(), stride, ws.stack,
-                                           ws.engine);
+          leaves += shap_detail::fast_tree_shap_avx2(
+              trav, meta, flat.root(t), phi, ws.path.data(), stride, ws.stack,
+              ws.engine);
         }
+        obs::counter_add("shap/leaves_attributed", leaves);
         return;
       }
 #endif
       for (std::size_t t = t_begin; t < t_end; ++t) {
-        fast_tree_shap(trav, meta, flat.root(t), phi, ws.path.data(), stride,
-                       ws.stack);
+        leaves += fast_tree_shap(trav, meta, flat.root(t), phi, ws.path.data(),
+                                 stride, ws.stack);
       }
+      obs::counter_add("shap/leaves_attributed", leaves);
     };
 
     if (n_blocks == 1) {

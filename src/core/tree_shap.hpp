@@ -10,7 +10,12 @@
 //
 // Complexity per sample and tree: O(L * D^2) with L leaves and D depth —
 // this is what makes per-hotspot explanations cheap enough to run inside a
-// physical-design loop (Section III-C).
+// physical-design loop (Section III-C). In the batch walks L counts only
+// *live* leaves: a leaf whose value is exactly 0.0 under positive covers
+// adds w * (one - zero) * 0.0, a signed zero, to phi, and phi (which starts
+// at +0.0 and so is never -0.0) keeps every bit, so subtrees holding only
+// such leaves are skipped without changing the result. An unpruned forest
+// on imbalanced hotspot labels has many: every pure-negative leaf is 0.0.
 //
 // Explaining every predicted hotspot of a design means thousands of samples
 // against a 500-tree ensemble, so the explainer also has a batched engine:
@@ -38,7 +43,8 @@
 // per-row walk then skips the two cover divisions and the O(depth)
 // duplicate search at every node, specializes EXTEND on the fact that
 // one_fractions are exactly 0.0 or 1.0, halves the path copies by extending
-// cold children in the parent's scratch slot, and interleaves the
+// cold children in the parent's scratch slot, skips dead subtrees (the
+// DFS marks them: see shap_detail::ShapMeta::live), and interleaves the
 // independent per-feature UNWIND chains at each leaf so the division unit
 // pipelines instead of stalling. Every
 // floating-point op that contributes to phi keeps its original operands and

@@ -298,12 +298,16 @@ inline void emit_leaf(const ExactTraversal& tree, std::size_t node,
 }  // namespace
 
 /// Same traversal skeleton as the scalar fast walk (hot subtree first, cold
-/// frames on a LIFO stack, cold children extend the parent slot in place);
-/// only the leaf work is staged instead of computed inline.
-void fast_tree_shap_avx2(const ExactTraversal& tree, const ShapMeta& meta,
-                         std::int32_t root, double* phi, PathElement* storage,
-                         int stride, std::vector<FastFrame>& stack,
-                         ShapJobEngine& je) {
+/// frames on a LIFO stack, cold children extend the parent slot in place,
+/// dead subtrees skipped); only the leaf work is staged instead of computed
+/// inline.
+std::size_t fast_tree_shap_avx2(const ExactTraversal& tree,
+                                const ShapMeta& meta, std::int32_t root,
+                                double* phi, PathElement* storage, int stride,
+                                std::vector<FastFrame>& stack,
+                                ShapJobEngine& je) {
+  if (meta.live[static_cast<std::size_t>(root)] == 0) return 0;
+  std::size_t leaves = 0;
   stack.clear();
   stack.push_back({root, 0, 0, -1, 1.0});
   while (!stack.empty()) {
@@ -322,6 +326,7 @@ void fast_tree_shap_avx2(const ExactTraversal& tree, const ShapMeta& meta,
                      one_fraction, feature);
       if (tree.is_leaf(node)) {
         if (unique_depth > 0) emit_leaf(tree, node, path, unique_depth, je);
+        ++leaves;
         break;
       }
       feature = tree.split_feature(node);
@@ -338,18 +343,26 @@ void fast_tree_shap_avx2(const ExactTraversal& tree, const ShapMeta& meta,
       const bool goes_left = tree.goes_left(node);
       const std::int32_t hot = goes_left ? left : right;
       const std::int32_t cold = goes_left ? right : left;
-      stack.push_back({cold, slot, depth_after + 1, feature, 0.0});
+      unique_depth = depth_after + 1;
+      if (meta.live[static_cast<std::size_t>(hot)] == 0) {
+        node_index = cold;  // the live cold child extends this slot in place
+        one_fraction = 0.0;
+        continue;
+      }
+      if (meta.live[static_cast<std::size_t>(cold)] != 0) {
+        stack.push_back({cold, slot, unique_depth, feature, 0.0});
+      }
       PathElement* hot_path = storage + static_cast<std::size_t>(slot + 1) *
                                             static_cast<std::size_t>(stride);
       for (int i = 0; i <= depth_after; ++i) hot_path[i] = path[i];
       path = hot_path;
       node_index = hot;
       ++slot;
-      unique_depth = depth_after + 1;
       one_fraction = incoming_one_fraction;
     }
   }
   flush_tree(je, phi);
+  return leaves;
 }
 
 }  // namespace drcshap::shap_detail

@@ -56,8 +56,19 @@ struct ShapMeta {
   /// path *after* extending with the incoming edge, or 0 when the feature
   /// is fresh (path index 0 is the dummy base element, never a match).
   std::vector<std::int32_t> dup_index;
-  /// Leaf count of the widest tree — sizes the vector walk's per-tree
-  /// leaf-job pools.
+  /// 1 when the node's subtree holds a leaf whose attributions can change
+  /// phi. A leaf is dead (0) when its value is exactly 0.0 and every cover
+  /// from the root down to it, its own included, is finite and > 0: every
+  /// zero_fraction on its path is then a finite, nonzero product of cover
+  /// ratios (for covers within ~300 decades of each other, as weighted
+  /// sample counts are), so each attribution w * (one - zero) * 0.0 is a
+  /// signed zero, and phi — which starts at +0.0 and so can never reach
+  /// -0.0 — keeps every bit when it is added. An internal node is live iff
+  /// either child is. The fast walks skip dead subtrees; the reference
+  /// recursion does not.
+  std::vector<std::uint8_t> live;
+  /// Live-leaf count of the widest tree — the most leaves one tree's walk
+  /// can reach, which sizes the vector walk's per-tree leaf-job pools.
   int max_leaves = 0;
 };
 
@@ -163,8 +174,9 @@ struct ShapJobEngine {
   int init_stride = -1, init_leaves = -1;
 
   /// Element counts of every pool for forests of path stride `stride`
-  /// whose widest tree has `max_leaves` leaves: the one sizing rule that
-  /// init() allocates and job_engine_bytes() prices.
+  /// whose widest tree has `max_leaves` live leaves (ShapMeta::max_leaves):
+  /// the one sizing rule that init() allocates and job_engine_bytes()
+  /// prices.
   struct Sizes {
     std::size_t jobs;        ///< Job records
     std::size_t pweights;    ///< pwpool doubles
@@ -221,7 +233,7 @@ struct ShapJobEngine {
 
 /// Bytes one worker's ShapJobEngine::init(stride, max_leaves) allocates:
 /// O(max_leaves * stride^2), dominated by the per-unique-depth block
-/// buckets. A 131k-leaf, depth-17 tree needs ~1.4 GB.
+/// buckets. A tree with 131k live leaves and depth 17 needs ~1.4 GB.
 inline std::size_t job_engine_bytes(int stride, int max_leaves) {
   using E = ShapJobEngine;
   const E::Sizes s = E::sizes(stride, max_leaves);
@@ -247,13 +259,15 @@ bool simd_walk_available();
 inline constexpr int kSimdWalkMaxDepth = 190;
 
 /// AVX2+FMA twin of the scalar fast walk for one (sample, tree): same
-/// traversal order, same EXTEND/UNWIND operands, leaf chains batched per
-/// tree and flushed into phi in reference DFS order. Byte-identical to the
-/// scalar walk (and therefore to the reference recursion).
-void fast_tree_shap_avx2(const ExactTraversal& tree, const ShapMeta& meta,
-                         std::int32_t root, double* phi, PathElement* storage,
-                         int stride, std::vector<FastFrame>& stack,
-                         ShapJobEngine& engine);
+/// traversal order, same dead-subtree skips, same EXTEND/UNWIND operands,
+/// leaf chains batched per tree and flushed into phi in reference DFS
+/// order. Byte-identical to the scalar walk (and therefore to the reference
+/// recursion). Returns the number of leaves it reached.
+std::size_t fast_tree_shap_avx2(const ExactTraversal& tree,
+                                const ShapMeta& meta, std::int32_t root,
+                                double* phi, PathElement* storage, int stride,
+                                std::vector<FastFrame>& stack,
+                                ShapJobEngine& engine);
 
 #endif  // DRCSHAP_SIMD_ENABLED
 

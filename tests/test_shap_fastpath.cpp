@@ -14,6 +14,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <utility>
 
 #include "benchsuite/pipeline.hpp"
 #include "benchsuite/suite.hpp"
@@ -275,20 +276,26 @@ TEST(ShapFastPath, EqualCodesDedupeToOneRowWithEachRowsOwnPhi) {
 
 /// One tree with a `spine`-long chain of splits (each with a leaf on its
 /// left) ending in a full subtree of depth `bush`: depth spine + bush,
-/// spine + 2^bush leaves, consistent covers.
+/// spine + 2^bush leaves, consistent covers. Each bush leaf is 0.0 with
+/// probability `zero_share` (a dead leaf of the fast walks); every other
+/// leaf value is drawn from (0, 1).
 DecisionTree spine_and_bush_tree(int spine, int bush, std::size_t n_features,
-                                 std::uint64_t seed) {
+                                 std::uint64_t seed, double zero_share = 0.0) {
   std::vector<TreeNode> nodes;
   Rng rng(seed);
-  const auto leaf = [&] {
-    nodes.push_back({-1, 0.0f, -1, -1, rng.uniform(), 1.0});
+  const auto leaf = [&](bool in_bush) {
+    const bool zero =
+        in_bush && zero_share > 0.0 && rng.uniform() < zero_share;
+    const double value = zero ? 0.0 : rng.uniform();
+    nodes.push_back({-1, 0.0f, -1, -1, value, 1.0});
     return static_cast<std::int32_t>(nodes.size() - 1);
   };
   const auto grow = [&](const auto& self, int depth) -> std::int32_t {
-    if (depth == spine + bush) return leaf();
+    if (depth == spine + bush) return leaf(true);
     const auto index = static_cast<std::int32_t>(nodes.size());
     nodes.emplace_back();
-    const std::int32_t left = depth < spine ? leaf() : self(self, depth + 1);
+    const std::int32_t left =
+        depth < spine ? leaf(false) : self(self, depth + 1);
     const std::int32_t right = self(self, depth + 1);
     const TreeNode& l = nodes[static_cast<std::size_t>(left)];
     const TreeNode& r = nodes[static_cast<std::size_t>(right)];
@@ -380,6 +387,189 @@ TEST(ShapFastPath, LeafPoolBudgetPicksTheWalk) {
     }
     expect_bits_equal(reference_phi(forest, eval).values, phi.values);
     check_all_configs(forest, eval);
+  }
+  {
+    // Same shape, but 95% of the bush leaves are 0.0: the pools are sized
+    // by the leaves the walk can reach, which prices under the budget.
+    SCOPED_TRACE("over budget by total leaves, under by live leaves");
+    const DecisionTree tree = spine_and_bush_tree(87, 11, 4, 34, 0.95);
+    ASSERT_EQ(tree.n_leaves(), 87u + 2048u);
+    RandomForestClassifier forest;
+    forest.set_trees({tree}, RandomForestOptions{});
+    const int stride = forest.flat().max_depth() + 2;
+    int live_leaves = 0;
+    for (const TreeNode& node : tree.nodes()) {
+      if (node.feature < 0 && node.value != 0.0) ++live_leaves;
+    }
+    ASSERT_GT(shap_detail::job_engine_bytes(stride,
+                                            static_cast<int>(tree.n_leaves())),
+              shap_detail::kJobEngineByteBudget);
+    ASSERT_LT(shap_detail::job_engine_bytes(stride, live_leaves),
+              shap_detail::kJobEngineByteBudget / 4);
+    const Dataset eval = random_data(8, 4, 35);
+    const ShapMatrix phi = TreeShapExplainer(forest).shap_values_batch(eval);
+    if (obs::kEnabled) {
+      EXPECT_EQ(walk_note(), avx2 ? "avx2" : "scalar");
+    }
+    expect_bits_equal(reference_phi(forest, eval).values, phi.values);
+    check_all_configs(forest, eval);
+  }
+}
+
+/// Element-wise phi identity where the reference may be non-finite: a NaN
+/// reference element needs any NaN, every other element the same bits.
+void expect_phi_equal_nan_aware(const std::vector<double>& reference,
+                                const std::vector<double>& got) {
+  ASSERT_EQ(reference.size(), got.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    if (std::isnan(reference[i])) {
+      EXPECT_TRUE(std::isnan(got[i])) << "element " << i;
+    } else {
+      EXPECT_EQ(std::memcmp(&reference[i], &got[i], sizeof(double)), 0)
+          << "element " << i << ": " << reference[i] << " vs " << got[i];
+    }
+  }
+}
+
+/// Trees built around the dead-leaf rule of the fast walks (a leaf is dead
+/// when its value is 0.0 and every cover from the root down to it is > 0):
+///  * tree 0: every leaf 0.0 (one of them -0.0), so the root is dead;
+///  * tree 1: a dead left subtree and a live right one, whose own children
+///    are a dead leaf and a live split (one zero leaf, one nonzero) —
+///    depending on the row, the dead child is the hot or the cold one,
+///    and the live side repeats the root's split feature;
+///  * tree 2: a 0.0 leaf with cover 0 — what a fit writes for a
+///    pure-positive leaf at positive_weight = 0. Its zero_fraction is 0,
+///    so rows that leave it cold get NaN phi in the reference; it must not
+///    be skipped;
+///  * tree 3: a single 0.0 leaf.
+/// Live leaves: tree 1's 0.6 leaf, tree 2's cover-0 leaf and 0.5 leaf.
+RandomForestClassifier zero_subtree_forest() {
+  const auto leaf = [](double value, double cover) {
+    return TreeNode{-1, 0.0f, -1, -1, value, cover};
+  };
+  const auto tree = [](std::vector<TreeNode> nodes) {
+    DecisionTree t;
+    t.set_nodes(std::move(nodes), 3);
+    return t;
+  };
+  const DecisionTree all_zero = tree({{0, 0.5f, 1, 2, 0.0, 10.0},
+                                      {1, 0.5f, 3, 4, 0.0, 6.0},
+                                      leaf(0.0, 4.0),
+                                      leaf(0.0, 3.0),
+                                      leaf(-0.0, 3.0)});
+  const DecisionTree half_dead = tree({{0, 0.5f, 1, 2, 0.1, 20.0},
+                                       {1, 0.5f, 3, 4, 0.0, 8.0},
+                                       {0, 0.75f, 5, 6, 0.15, 12.0},
+                                       leaf(0.0, 5.0),
+                                       leaf(0.0, 3.0),
+                                       {2, 0.5f, 7, 8, 0.26, 7.0},
+                                       leaf(0.0, 5.0),
+                                       leaf(0.0, 4.0),
+                                       leaf(0.6, 3.0)});
+  const DecisionTree cover_zero = tree({{1, 0.5f, 1, 2, 0.3, 10.0},
+                                        leaf(0.0, 0.0),
+                                        {0, 0.25f, 3, 4, 0.3, 10.0},
+                                        leaf(0.0, 4.0),
+                                        leaf(0.5, 6.0)});
+  const DecisionTree single = tree({leaf(0.0, 5.0)});
+  RandomForestClassifier forest;
+  forest.set_trees({all_zero, half_dead, cover_zero, single},
+                   RandomForestOptions{});
+  return forest;
+}
+
+constexpr std::uint64_t kZeroSubtreeForestLiveLeaves = 3;
+
+Dataset zero_subtree_rows() {
+  Dataset eval(3);
+  for (const float x0 : {0.25f, 0.5f, 0.6f, 0.8f, std::nanf("")}) {
+    for (const float x1 : {0.25f, 0.75f, std::nanf("")}) {
+      for (const float x2 : {0.25f, 0.75f}) {
+        eval.append_row(std::vector<float>{x0, x1, x2}, 0, 0);
+      }
+    }
+  }
+  return eval;
+}
+
+/// Skipping dead subtrees changes no bit of phi: every batch row equals
+/// the unpruned reference recursion for that row, on the default walk and
+/// on the scalar walk, at any thread count, with or without a cache.
+TEST(ShapFastPath, ZeroSubtreesSkipByteIdentically) {
+  const RandomForestClassifier forest = zero_subtree_forest();
+  const Dataset eval = zero_subtree_rows();
+  const ShapMatrix reference = reference_phi(forest, eval);
+  // The cover-0 leaf does reach the reference as NaN on some rows, so the
+  // rule's cover condition is exercised, and finite rows exist too.
+  std::size_t nan_elements = 0;
+  for (const double v : reference.values) nan_elements += std::isnan(v);
+  ASSERT_GT(nan_elements, 0u);
+  ASSERT_LT(nan_elements, reference.values.size());
+
+  const auto check = [&](const char* walk) {
+    SCOPED_TRACE(walk);
+    TreeShapExplainer explainer(forest);
+    const auto cache = std::make_shared<ExplanationCache>();
+    for (const bool with_cache : {false, true}) {
+      explainer.set_cache(with_cache ? cache : nullptr);
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     (with_cache ? " cache=on" : " cache=off"));
+        expect_phi_equal_nan_aware(
+            reference.values,
+            explainer.shap_values_batch(eval, threads).values);
+      }
+    }
+  };
+  check("default walk");
+  {
+    ScopedEnv simd("DRCSHAP_SIMD", "0");
+    check("scalar walk");
+  }
+}
+
+std::uint64_t counter(const char* name) {
+  const obs::Snapshot snap = obs::snapshot();
+  const auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? std::uint64_t{0} : it->second;
+}
+
+/// shap/leaves_attributed counts the (row, leaf) attributions the walks
+/// make. They reach exactly the live leaves of every tree, whatever the
+/// row: below rows x leaves when some leaves are 0.0, equal when none is.
+TEST(ShapFastPath, LeavesAttributedCountsLiveLeavesOnly) {
+  if (!obs::kEnabled) GTEST_SKIP() << "built with DRCSHAP_OBS=OFF";
+  const auto attributed_per_row = [](const RandomForestClassifier& forest,
+                                     const Dataset& eval) {
+    const std::uint64_t leaves = counter("shap/leaves_attributed");
+    const std::uint64_t rows = counter("shap/batch_unique_rows");
+    (void)TreeShapExplainer(forest).shap_values_batch(eval, 2);
+    const std::uint64_t unique = counter("shap/batch_unique_rows") - rows;
+    EXPECT_GT(unique, 0u);
+    return std::pair{counter("shap/leaves_attributed") - leaves, unique};
+  };
+  {
+    SCOPED_TRACE("forest with zero leaves");
+    const RandomForestClassifier forest = zero_subtree_forest();
+    std::uint64_t total_leaves = 0;
+    for (const DecisionTree& tree : forest.trees()) {
+      total_leaves += tree.n_leaves();
+    }
+    const auto [attributed, unique] =
+        attributed_per_row(forest, zero_subtree_rows());
+    EXPECT_LT(attributed, unique * total_leaves);
+    EXPECT_EQ(attributed, unique * kZeroSubtreeForestLiveLeaves);
+  }
+  {
+    SCOPED_TRACE("forest without zero leaves");
+    RandomForestClassifier forest;
+    forest.set_trees({spine_and_bush_tree(3, 3, 4, 41),
+                      spine_and_bush_tree(2, 4, 4, 42)},
+                     RandomForestOptions{});
+    const auto [attributed, unique] =
+        attributed_per_row(forest, random_data(16, 4, 43));
+    EXPECT_EQ(attributed, unique * (3u + 8u + 2u + 16u));
   }
 }
 

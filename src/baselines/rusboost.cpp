@@ -71,7 +71,7 @@ void RusBoostClassifier::fit(const Dataset& data) {
     tree.fit_binned(binned, data, draw_round_rows(), tree_options);
 
     // Weighted error over the FULL training set, walking the round tree's
-    // flat view (same leaf values as the node-struct walk, ~2x faster).
+    // one-tree FlatForest view.
     const FlatForest round_flat(std::span<const DecisionTree>(&tree, 1));
     double err = 0.0;
     std::vector<std::int8_t> h(n);

@@ -44,8 +44,7 @@ class RusBoostClassifier final : public BinaryClassifier {
   std::vector<DecisionTree> trees_;
   std::vector<double> alphas_;
   /// SoA snapshot of the kept round trees, rebuilt at the end of fit();
-  /// margin/predict_proba walk this instead of the pointer-chasing
-  /// per-node structs (leaf values are identical, so outputs are too).
+  /// margin/predict_proba walk it.
   std::shared_ptr<const FlatForest> flat_;
   double alpha_total_ = 0.0;
 };

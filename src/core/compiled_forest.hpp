@@ -47,9 +47,11 @@ namespace drcshap {
 
 namespace detail {
 
-/// Raw-pointer view of the compiled node arrays, shared by the scalar and
-/// AVX2 block kernels (the AVX2 translation unit is compiled with -mavx2
-/// and must not see any inline library code it could vectorize).
+/// Raw-pointer view of the compiled node arrays that the block kernels in
+/// compiled_forest.cpp read: the scalar kernel and its AVX2 twin. Only the
+/// twin and its two helpers are compiled for AVX2, each by its own target
+/// attribute, so every inline or template copy the linker may merge stays
+/// baseline code.
 struct CompiledForestView {
   const std::int32_t* feature;     ///< per node; 0 on leaves (safe gather)
   const std::int32_t* qthreshold;  ///< per node; INT32_MAX on leaves
@@ -59,20 +61,6 @@ struct CompiledForestView {
   const std::int32_t* depths;      ///< per tree (edge depth)
   std::size_t n_trees;
 };
-
-/// Descend 8 samples through every tree and write the per-lane sums of leaf
-/// values (tree order, not yet divided by n_trees). `blockq` holds the
-/// feature codes interleaved as blockq[feature * 8 + lane], widened to i32.
-void predict_block8_scalar(const CompiledForestView& forest,
-                           const std::int32_t* blockq, double* sums);
-
-#if DRCSHAP_SIMD_ENABLED
-/// AVX2 twin of predict_block8_scalar: same arithmetic, vector gathers.
-void predict_block8_avx2(const CompiledForestView& forest,
-                         const std::int32_t* blockq, double* sums);
-/// Runtime cpuid guard (false on non-x86 or pre-AVX2 hardware).
-bool cpu_supports_avx2();
-#endif
 
 }  // namespace detail
 
@@ -133,7 +121,7 @@ class CompiledForest {
   /// bit-identical fallback whenever this is false.
   static bool simd_available();
   /// True when the build compiled the AVX2 kernel (DRCSHAP_SIMD=ON and the
-  /// compiler/arch supported -mavx2).
+  /// compiler accepts target("avx2,fma") functions for this architecture).
   static constexpr bool simd_compiled() { return DRCSHAP_SIMD_ENABLED != 0; }
 
   /// FNV-1a digest over every array of the lowered layout (cuts, node

@@ -230,21 +230,6 @@ void DecisionTree::fit_binned(const BinnedMatrix& binned, const Dataset& data,
   depth_ = compute_depth();
 }
 
-double DecisionTree::predict_proba(std::span<const float> features) const {
-  if (!fitted()) throw std::logic_error("DecisionTree: not fitted");
-  if (features.size() != n_features_) {
-    throw std::invalid_argument("DecisionTree: feature count mismatch");
-  }
-  std::int32_t node = 0;
-  while (nodes_[static_cast<std::size_t>(node)].feature >= 0) {
-    const TreeNode& n = nodes_[static_cast<std::size_t>(node)];
-    node = features[static_cast<std::size_t>(n.feature)] <= n.threshold
-               ? n.left
-               : n.right;
-  }
-  return nodes_[static_cast<std::size_t>(node)].value;
-}
-
 std::size_t DecisionTree::n_leaves() const {
   std::size_t leaves = 0;
   for (const TreeNode& n : nodes_) {

@@ -86,15 +86,12 @@ class DecisionTree {
                   std::span<const std::size_t> rows,
                   const DecisionTreeOptions& options);
 
-  /// P(y=1 | x) from the leaf `x` falls into.
-  double predict_proba(std::span<const float> features) const;
-
   bool fitted() const { return !nodes_.empty(); }
   const std::vector<TreeNode>& nodes() const { return nodes_; }
   std::size_t n_nodes() const { return nodes_.size(); }
   std::size_t n_leaves() const;
-  /// Cached at fit/deserialization time: SHAP sizes its per-tree path
-  /// scratch from this on every call, so it must not re-walk the tree.
+  /// Edge depth, computed once at fit/deserialization time; FlatForest
+  /// copies it per tree when it flattens the ensemble.
   int depth() const { return depth_; }
   /// Mean leaf depth weighted by cover: expected comparisons per prediction.
   double mean_depth() const;

@@ -13,16 +13,97 @@
 #include "obs/registry.hpp"
 #include "util/thread_pool.hpp"
 
+#if DRCSHAP_SIMD_ENABLED
+#include <immintrin.h>
+#endif
+
 namespace drcshap {
 
 namespace {
 
-using shap_detail::PathElement;
-using shap_detail::ExactTraversal;
-using shap_detail::ShapMeta;
-using shap_detail::FastFrame;
-using shap_detail::extend_path_01;
-using shap_detail::unwind_path;
+using shap_detail::ShapJobEngine;
+
+// One element of the "unique path" of Algorithm 2: a feature encountered on
+// the way down, the fraction of paths that flow through when the feature is
+// unknown (zero_fraction = cover ratio) or known (one_fraction = 0/1), and
+// the permutation weight accumulator pweight.
+struct PathElement {
+  int feature_index = -1;
+  double zero_fraction = 0.0;
+  double one_fraction = 0.0;
+  double pweight = 0.0;
+};
+
+/// FlatForest arrays + the raw sample: the one traversal every walk (the
+/// reference recursion and the fast walk) runs.
+struct ExactTraversal {
+  const std::int32_t* feature;
+  const float* threshold;
+  const std::int32_t* left;
+  const std::int32_t* right;
+  const double* value;
+  const double* cover;
+  const float* x;
+
+  bool is_leaf(std::size_t node) const { return feature[node] < 0; }
+  std::int32_t split_feature(std::size_t node) const { return feature[node]; }
+  bool goes_left(std::size_t node) const {
+    return x[static_cast<std::size_t>(feature[node])] <= threshold[node];
+  }
+  std::int32_t left_child(std::size_t node) const { return left[node]; }
+  std::int32_t right_child(std::size_t node) const { return right[node]; }
+};
+
+/// Structural per-node metadata of the FlatForest, node-indexed like its
+/// arrays.
+struct ShapMeta {
+  /// zero_fraction of the edge into each node (1.0 at roots).
+  std::vector<double> entry_zero_fraction;
+  /// For internal nodes: index of this node's split feature in the unique
+  /// path *after* extending with the incoming edge, or 0 when the feature
+  /// is fresh (path index 0 is the dummy base element, never a match).
+  std::vector<std::int32_t> dup_index;
+  /// 1 when the node's subtree holds a leaf whose attributions can change
+  /// phi. A leaf is dead (0) when its value is exactly 0.0 and every cover
+  /// from the root down to it, its own included, is finite and > 0: every
+  /// zero_fraction on its path is then a finite, nonzero product of cover
+  /// ratios (for covers within ~300 decades of each other, as weighted
+  /// sample counts are), so each attribution w * (one - zero) * 0.0 is a
+  /// signed zero, and phi — which starts at +0.0 and so can never reach
+  /// -0.0 — keeps every bit when it is added. An internal node is live iff
+  /// either child is. The fast walk skips dead subtrees; the reference
+  /// recursion does not.
+  std::vector<std::uint8_t> live;
+  /// Live-leaf count of the widest tree — the most leaves one tree's walk
+  /// can reach, which sizes the vector walk's per-tree leaf-job pools.
+  int max_leaves = 0;
+};
+
+/// Undo an extension for a repeated feature (UNWIND). Shared verbatim by
+/// the reference recursion and the fast walk.
+inline void unwind_path(PathElement* path, int unique_depth, int path_index) {
+  const double one_fraction = path[path_index].one_fraction;
+  const double zero_fraction = path[path_index].zero_fraction;
+  double next_one_portion = path[unique_depth].pweight;
+  for (int i = unique_depth - 1; i >= 0; --i) {
+    if (one_fraction != 0.0) {
+      const double tmp = path[i].pweight;
+      path[i].pweight = next_one_portion * (unique_depth + 1) /
+                        static_cast<double>((i + 1) * one_fraction);
+      next_one_portion =
+          tmp - path[i].pweight * zero_fraction * (unique_depth - i) /
+                    static_cast<double>(unique_depth + 1);
+    } else {
+      path[i].pweight = path[i].pweight * (unique_depth + 1) /
+                        static_cast<double>(zero_fraction * (unique_depth - i));
+    }
+  }
+  for (int i = path_index; i < unique_depth; ++i) {
+    path[i].feature_index = path[i + 1].feature_index;
+    path[i].zero_fraction = path[i + 1].zero_fraction;
+    path[i].one_fraction = path[i + 1].one_fraction;
+  }
+}
 
 /// Grow the path by one split (EXTEND).
 void extend_path(PathElement* path, int unique_depth, double zero_fraction,
@@ -34,6 +115,34 @@ void extend_path(PathElement* path, int unique_depth, double zero_fraction,
                            static_cast<double>(unique_depth + 1);
     path[i].pweight = zero_fraction * path[i].pweight * (unique_depth - i) /
                       static_cast<double>(unique_depth + 1);
+  }
+}
+
+/// EXTEND specialized on what the recursion guarantees about one_fraction:
+/// it is exactly 0.0 or 1.0 (the root gets 1.0, hot edges inherit a stored
+/// 0/1, cold edges get 0.0). With 1.0 the `one_fraction *` factor is the
+/// identity; with 0.0 the whole first line adds a signed zero, which never
+/// changes the target bits (pweights that are exactly zero are always +0.0:
+/// every product chain has non-negative structural factors and exact
+/// cancellation yields +0.0), so it is skipped. The surviving ops keep the
+/// reference operand order, so the resulting pweights are bit-identical.
+inline void extend_path_01(PathElement* path, int unique_depth,
+                           double zero_fraction, double one_fraction,
+                           int feature_index) {
+  path[unique_depth] = {feature_index, zero_fraction, one_fraction,
+                        unique_depth == 0 ? 1.0 : 0.0};
+  if (one_fraction != 0.0) {
+    for (int i = unique_depth - 1; i >= 0; --i) {
+      path[i + 1].pweight += path[i].pweight * (i + 1) /
+                             static_cast<double>(unique_depth + 1);
+      path[i].pweight = zero_fraction * path[i].pweight * (unique_depth - i) /
+                        static_cast<double>(unique_depth + 1);
+    }
+  } else {
+    for (int i = unique_depth - 1; i >= 0; --i) {
+      path[i].pweight = zero_fraction * path[i].pweight * (unique_depth - i) /
+                        static_cast<double>(unique_depth + 1);
+    }
   }
 }
 
@@ -306,6 +415,15 @@ inline void leaf_accumulate(const ExactTraversal& tree, std::size_t node,
   }
 }
 
+/// Pending cold-subtree entry of the iterative fast walk.
+struct FastFrame {
+  std::int32_t node;
+  std::int32_t slot;  ///< path scratch slot (level); cold reuses its parent's
+  std::int32_t unique_depth;
+  std::int32_t feature;  ///< split feature of the edge into `node`
+  double one_fraction;
+};
+
 /// Iterative fast traversal of one tree for one sample. Visits leaves in
 /// exactly the reference order (hot subtree fully, then cold — the LIFO
 /// stack preserves DFS order), feeds EXTEND/UNWIND the same operands, and
@@ -314,11 +432,16 @@ inline void leaf_accumulate(const ExactTraversal& tree, std::size_t node,
 /// one of the two path copies: a cold child extends its parent's slot in
 /// place, because the parent path is dead once the hot subtree returned)
 /// and to skip dead subtrees (ShapMeta::live), whose leaves would only add
-/// signed zeros. Returns the number of leaves it reached.
-std::size_t fast_tree_shap(const ExactTraversal& tree, const ShapMeta& meta,
-                           std::int32_t root, double* phi,
-                           PathElement* storage, int stride,
-                           std::vector<FastFrame>& stack) {
+/// signed zeros. Each leaf reached goes to `on_leaf(node, path,
+/// unique_depth)`; returns the number of leaves reached.
+///
+/// Always inlined, so each walk compiles the traversal for its caller's
+/// ISA: baseline for the scalar walk, AVX2+FMA inside the vector walk.
+template <class OnLeaf>
+[[gnu::always_inline]] inline std::size_t fast_tree_shap(
+    const ExactTraversal& tree, const ShapMeta& meta, std::int32_t root,
+    PathElement* storage, int stride, std::vector<FastFrame>& stack,
+    OnLeaf&& on_leaf) {
   if (meta.live[static_cast<std::size_t>(root)] == 0) return 0;
   std::size_t leaves = 0;
   stack.clear();
@@ -338,7 +461,7 @@ std::size_t fast_tree_shap(const ExactTraversal& tree, const ShapMeta& meta,
       extend_path_01(path, unique_depth, meta.entry_zero_fraction[node],
                      one_fraction, feature);
       if (tree.is_leaf(node)) {
-        leaf_accumulate(tree, node, path, unique_depth, phi);
+        on_leaf(node, path, unique_depth);
         ++leaves;
         break;
       }
@@ -378,6 +501,326 @@ std::size_t fast_tree_shap(const ExactTraversal& tree, const ShapMeta& meta,
   }
   return leaves;
 }
+
+#if DRCSHAP_SIMD_ENABLED
+
+// ---------------------------------------------------------------------------
+// AVX2+FMA vector walk. Each function below carries its own
+// target("avx2,fma") attribute; no file is compiled with -mavx2, so every
+// inline or template function the linker may merge across objects stays
+// baseline code, and this code runs only behind simd_walk_available().
+// tree_shap.cpp is compiled with -ffp-contract=off, so no scalar
+// expression in these functions gains an FMA the scalar walk lacks.
+//
+// What vectorizes, and why it stays byte-identical:
+//
+//  * Per leaf, Algorithm 2 runs one UNWOUND_PATH_SUM recurrence per unique
+//    path element — `unique_depth` independent chains of ~2 divisions per
+//    step, each with ~40 cycles of serial latency. The walk defers them:
+//    chains of one leaf are packed 4 to a lane block (they share the
+//    read-only pweight array, loaded broadcast), blocks are bucketed by
+//    unique depth (all broadcast constants of the kernel depend only on
+//    (ud, j)), and a once-per-tree flush runs several blocks interleaved in
+//    one step loop so the recurrence latency of one chain hides behind the
+//    arithmetic of the others. Lanes never mix: a SIMD lane computes
+//    exactly the scalar chain, same operands, same order.
+//  * one_fraction==1 chains divide only by integers ((j+1)*of with of==1,
+//    and ud+1). Those divisions run as multiply + two FMAs against a
+//    precomputed correctly-rounded reciprocal (Markstein): for normal
+//    operands the result is the correctly rounded quotient, i.e. the very
+//    bits vdivpd would produce, but at FMA throughput. one_fraction==0
+//    chains keep real vdivpd (their divisor zf*(ud-j) is not integral) and
+//    ride in the same flush loop, so the divider unit works in parallel
+//    with the FMA ports ("mixed" kernel).
+//  * phi application is deferred to the flush but ordered by leaf-job
+//    emission (= reference DFS leaf order), and within a leaf the unique
+//    path features are distinct, so every phi slot sees its additions in
+//    exactly the reference order.
+//
+// EXTEND/UNWIND and the traversal stay scalar: the same fast_tree_shap,
+// inlined into fast_tree_shap_avx2.
+
+/// Correctly-rounded reciprocals of the small integers the kernels divide
+/// by (unique_depth+1 and j+1 are bounded by tree depth + 1).
+struct RecipTable {
+  double inv[shap_detail::kSimdWalkMaxDepth + 2];
+  RecipTable() {
+    inv[0] = 0.0;
+    for (int i = 1; i < shap_detail::kSimdWalkMaxDepth + 2; ++i) {
+      inv[i] = 1.0 / static_cast<double>(i);
+    }
+  }
+};
+const RecipTable kRecip;
+
+/// Markstein correctly-rounded division x/d via the precomputed
+/// reciprocal rd = RN(1/d): q0 = x*rd; r = x - q0*d (exact, FMA);
+/// q = q0 + r*rd. For normal x and integer d this returns RN(x/d) — the
+/// same bits as vdivpd — in 3 FMA-port ops instead of one long division.
+__attribute__((target("avx2,fma"))) inline __m256d fma_div(__m256d x,
+                                                           __m256d d,
+                                                           __m256d rd) {
+  const __m256d q0 = _mm256_mul_pd(x, rd);
+  const __m256d r = _mm256_fnmadd_pd(q0, d, x);
+  return _mm256_fmadd_pd(r, rd, q0);
+}
+
+using Block = ShapJobEngine::Block;
+
+/// one_fraction==1 chains, NB interleaved blocks. Per step j (descending):
+///   tmp    = next_one * (ud+1) / (j+1)          [integer divisor -> FMA]
+///   total += tmp
+///   next_one = pw[j] - tmp * zf * (ud-j) / (ud+1)
+/// Lane-independent; same operand order as the scalar chain.
+template <int NB>
+__attribute__((target("avx2,fma"))) void k_of1(int ud, const Block* bs,
+                                               const double* pwpool,
+                                               double* tot_pool) {
+  const __m256d Av = _mm256_set1_pd(static_cast<double>(ud + 1));
+  const __m256d rdA = _mm256_set1_pd(kRecip.inv[ud + 1]);
+  __m256d nop[NB], tot[NB];
+  const double* pw[NB];
+  for (int b = 0; b < NB; ++b) {
+    pw[b] = pwpool + bs[b].pw_off;
+    nop[b] = _mm256_set1_pd(pw[b][ud]);
+    tot[b] = _mm256_setzero_pd();
+  }
+  for (int j = ud - 1; j >= 0; --j) {
+    const __m256d Bj = _mm256_set1_pd(static_cast<double>(j + 1));
+    const __m256d rdB = _mm256_set1_pd(kRecip.inv[j + 1]);
+    const __m256d Cj = _mm256_set1_pd(static_cast<double>(ud - j));
+    for (int b = 0; b < NB; ++b) {
+      const __m256d pwv = _mm256_set1_pd(pw[b][j]);
+      const __m256d zfv = _mm256_loadu_pd(bs[b].zf);
+      const __m256d num1 = _mm256_mul_pd(nop[b], Av);
+      const __m256d t = fma_div(num1, Bj, rdB);
+      tot[b] = _mm256_add_pd(tot[b], t);
+      const __m256d num2 = _mm256_mul_pd(_mm256_mul_pd(t, zfv), Cj);
+      nop[b] = _mm256_sub_pd(pwv, fma_div(num2, Av, rdA));
+    }
+  }
+  for (int b = 0; b < NB; ++b) {
+    _mm256_storeu_pd(tot_pool + bs[b].out, tot[b]);
+  }
+}
+
+/// one_fraction==0 chains: total += pw[j]*(ud+1) / (zf*(ud-j)). The
+/// divisor is not integral, so this is real vdivpd — but carries no
+/// recurrence, so a few interleaved blocks keep the divider saturated.
+template <int NB>
+__attribute__((target("avx2,fma"))) void k_of0(int ud, const Block* bs,
+                                               const double* pwpool,
+                                               double* tot_pool) {
+  const __m256d Av = _mm256_set1_pd(static_cast<double>(ud + 1));
+  __m256d tot[NB];
+  const double* pw[NB];
+  for (int b = 0; b < NB; ++b) {
+    pw[b] = pwpool + bs[b].pw_off;
+    tot[b] = _mm256_setzero_pd();
+  }
+  for (int j = ud - 1; j >= 0; --j) {
+    const __m256d Cj = _mm256_set1_pd(static_cast<double>(ud - j));
+    for (int b = 0; b < NB; ++b) {
+      const __m256d zfv = _mm256_loadu_pd(bs[b].zf);
+      const __m256d num = _mm256_mul_pd(_mm256_set1_pd(pw[b][j]), Av);
+      tot[b] = _mm256_add_pd(tot[b], _mm256_div_pd(num, _mm256_mul_pd(zfv, Cj)));
+    }
+  }
+  for (int b = 0; b < NB; ++b) {
+    _mm256_storeu_pd(tot_pool + bs[b].out, tot[b]);
+  }
+}
+
+/// Mixed kernel: N1 of1 blocks (FMA ports) and N0 of0 blocks (divider) in
+/// one step loop, so the two execution units overlap instead of idling.
+template <int N1, int N0>
+__attribute__((target("avx2,fma"))) void k_mixed(int ud, const Block* bs1,
+                                                 const Block* bs0,
+                                                 const double* pwpool,
+                                                 double* tot1_pool,
+                                                 double* tot0_pool) {
+  const __m256d Av = _mm256_set1_pd(static_cast<double>(ud + 1));
+  const __m256d rdA = _mm256_set1_pd(kRecip.inv[ud + 1]);
+  __m256d nop[N1], tot1[N1], tot0[N0];
+  const double* pw1[N1];
+  const double* pw0[N0];
+  for (int b = 0; b < N1; ++b) {
+    pw1[b] = pwpool + bs1[b].pw_off;
+    nop[b] = _mm256_set1_pd(pw1[b][ud]);
+    tot1[b] = _mm256_setzero_pd();
+  }
+  for (int b = 0; b < N0; ++b) {
+    pw0[b] = pwpool + bs0[b].pw_off;
+    tot0[b] = _mm256_setzero_pd();
+  }
+  for (int j = ud - 1; j >= 0; --j) {
+    const __m256d Bj = _mm256_set1_pd(static_cast<double>(j + 1));
+    const __m256d rdB = _mm256_set1_pd(kRecip.inv[j + 1]);
+    const __m256d Cj = _mm256_set1_pd(static_cast<double>(ud - j));
+    for (int b = 0; b < N0; ++b) {
+      const __m256d zfv = _mm256_loadu_pd(bs0[b].zf);
+      const __m256d num = _mm256_mul_pd(_mm256_set1_pd(pw0[b][j]), Av);
+      tot0[b] =
+          _mm256_add_pd(tot0[b], _mm256_div_pd(num, _mm256_mul_pd(zfv, Cj)));
+    }
+    for (int b = 0; b < N1; ++b) {
+      const __m256d pwv = _mm256_set1_pd(pw1[b][j]);
+      const __m256d zfv = _mm256_loadu_pd(bs1[b].zf);
+      const __m256d num1 = _mm256_mul_pd(nop[b], Av);
+      const __m256d t = fma_div(num1, Bj, rdB);
+      tot1[b] = _mm256_add_pd(tot1[b], t);
+      const __m256d num2 = _mm256_mul_pd(_mm256_mul_pd(t, zfv), Cj);
+      nop[b] = _mm256_sub_pd(pwv, fma_div(num2, Av, rdA));
+    }
+  }
+  for (int b = 0; b < N1; ++b) {
+    _mm256_storeu_pd(tot1_pool + bs1[b].out, tot1[b]);
+  }
+  for (int b = 0; b < N0; ++b) {
+    _mm256_storeu_pd(tot0_pool + bs0[b].out, tot0[b]);
+  }
+}
+
+/// Drains every bucket through the kernels, then applies phi per leaf job
+/// in emission (= reference DFS) order: tot * (of - zf) * leaf_value with
+/// of literal 1.0 / 0.0, exactly the reference expression.
+__attribute__((target("avx2,fma"))) void flush_tree(ShapJobEngine& je,
+                                                    double* phi) {
+  const double* pwpool = je.pwpool.data();
+  for (int u = 0; u < je.n_used; ++u) {
+    const int ud = je.used_ud[u];
+    const Block* b1 =
+        je.b1_data.data() + static_cast<std::size_t>(ud) * je.bucket_cap;
+    const Block* b0 =
+        je.b0_data.data() + static_cast<std::size_t>(ud) * je.bucket_cap;
+    const int m1 = je.b1_n[static_cast<std::size_t>(ud)];
+    const int m0 = je.b0_n[static_cast<std::size_t>(ud)];
+    int c1 = 0, c0 = 0;
+    while (m1 - c1 >= 4 && m0 - c0 >= 2) {
+      k_mixed<4, 2>(ud, b1 + c1, b0 + c0, pwpool, je.tot1.data(),
+                    je.tot0.data());
+      c1 += 4;
+      c0 += 2;
+    }
+    while (m1 - c1 > 0) {
+      const int nb = m1 - c1 >= 6 ? 6 : m1 - c1;
+      switch (nb) {
+        case 6: k_of1<6>(ud, b1 + c1, pwpool, je.tot1.data()); break;
+        case 5: k_of1<5>(ud, b1 + c1, pwpool, je.tot1.data()); break;
+        case 4: k_of1<4>(ud, b1 + c1, pwpool, je.tot1.data()); break;
+        case 3: k_of1<3>(ud, b1 + c1, pwpool, je.tot1.data()); break;
+        case 2: k_of1<2>(ud, b1 + c1, pwpool, je.tot1.data()); break;
+        default: k_of1<1>(ud, b1 + c1, pwpool, je.tot1.data()); break;
+      }
+      c1 += nb;
+    }
+    while (m0 - c0 > 0) {
+      const int nb = m0 - c0 >= 3 ? 3 : m0 - c0;
+      switch (nb) {
+        case 3: k_of0<3>(ud, b0 + c0, pwpool, je.tot0.data()); break;
+        case 2: k_of0<2>(ud, b0 + c0, pwpool, je.tot0.data()); break;
+        default: k_of0<1>(ud, b0 + c0, pwpool, je.tot0.data()); break;
+      }
+      c0 += nb;
+    }
+  }
+  for (int jb = 0; jb < je.n_jobs; ++jb) {
+    const ShapJobEngine::Job& job = je.jobs[static_cast<std::size_t>(jb)];
+    for (int k = 0; k < job.n1; ++k) {
+      const int e = job.e1_off + k;
+      phi[static_cast<std::size_t>(je.f1[static_cast<std::size_t>(e)])] +=
+          je.tot1[static_cast<std::size_t>(e)] *
+          (1.0 - je.zf1[static_cast<std::size_t>(e)]) * job.leaf_value;
+    }
+    for (int k = 0; k < job.n0; ++k) {
+      const int e = job.e0_off + k;
+      phi[static_cast<std::size_t>(je.f0[static_cast<std::size_t>(e)])] +=
+          je.tot0[static_cast<std::size_t>(e)] *
+          (0.0 - je.zf0[static_cast<std::size_t>(e)]) * job.leaf_value;
+    }
+  }
+  je.reset();
+}
+
+/// Stage one leaf's chains into the engine: the path's unique elements,
+/// partitioned by one_fraction, packed 4 per block into the leaf's shared
+/// pweight array. Padding lanes get zf = 1.0 (any finite value works —
+/// lanes are independent and padding totals are never applied).
+inline void emit_leaf(const ExactTraversal& tree, std::size_t node,
+                      const PathElement* path, int ud, ShapJobEngine& je) {
+  ShapJobEngine::Job& job = je.jobs[static_cast<std::size_t>(je.n_jobs++)];
+  job.unique_depth = ud;
+  job.leaf_value = tree.value[node];
+  job.e1_off = je.n1;
+  job.e0_off = je.n0;
+  const std::int32_t pw_off = je.n_pw;
+  double* pwdst = je.pwpool.data() + pw_off;
+  for (int j = 0; j <= ud; ++j) pwdst[j] = path[j].pweight;
+  je.n_pw += ud + 1;
+  Block* bucket1 =
+      je.b1_data.data() + static_cast<std::size_t>(ud) * je.bucket_cap;
+  Block* bucket0 =
+      je.b0_data.data() + static_cast<std::size_t>(ud) * je.bucket_cap;
+  std::int32_t& bn1 = je.b1_n[static_cast<std::size_t>(ud)];
+  std::int32_t& bn0 = je.b0_n[static_cast<std::size_t>(ud)];
+  if (bn1 == 0 && bn0 == 0) je.used_ud[je.n_used++] = ud;
+  int lane1 = 4, lane0 = 4;  // force a new block on the first element
+  Block* cur1 = nullptr;
+  Block* cur0 = nullptr;
+  for (int i = 1; i <= ud; ++i) {
+    if (path[i].one_fraction != 0.0) {
+      if (lane1 == 4) {
+        cur1 = &bucket1[bn1++];
+        cur1->pw_off = pw_off;
+        cur1->out = je.n1;
+        cur1->zf[1] = cur1->zf[2] = cur1->zf[3] = 1.0;
+        lane1 = 0;
+        je.n1 += 4;
+      }
+      cur1->zf[lane1] = path[i].zero_fraction;
+      const auto e = static_cast<std::size_t>(cur1->out + lane1);
+      je.f1[e] = path[i].feature_index;
+      je.zf1[e] = path[i].zero_fraction;
+      ++lane1;
+    } else {
+      if (lane0 == 4) {
+        cur0 = &bucket0[bn0++];
+        cur0->pw_off = pw_off;
+        cur0->out = je.n0;
+        cur0->zf[1] = cur0->zf[2] = cur0->zf[3] = 1.0;
+        lane0 = 0;
+        je.n0 += 4;
+      }
+      cur0->zf[lane0] = path[i].zero_fraction;
+      const auto e = static_cast<std::size_t>(cur0->out + lane0);
+      je.f0[e] = path[i].feature_index;
+      je.zf0[e] = path[i].zero_fraction;
+      ++lane0;
+    }
+  }
+  job.n1 = (je.n1 - job.e1_off) - 4 + (lane1 == 4 ? 4 : lane1);
+  job.n0 = (je.n0 - job.e0_off) - 4 + (lane0 == 4 ? 4 : lane0);
+  if (job.n1 < 0) job.n1 = 0;
+  if (job.n0 < 0) job.n0 = 0;
+}
+
+/// The vector walk for one (sample, tree): the fast walk with each leaf's
+/// chains staged into `je`, then flushed into phi in reference DFS order.
+/// Byte-identical to the scalar walk (and so to the reference recursion).
+__attribute__((target("avx2,fma"))) std::size_t fast_tree_shap_avx2(
+    const ExactTraversal& tree, const ShapMeta& meta, std::int32_t root,
+    double* phi, PathElement* storage, int stride,
+    std::vector<FastFrame>& stack, ShapJobEngine& je) {
+  const std::size_t leaves = fast_tree_shap(
+      tree, meta, root, storage, stride, stack,
+      [&](std::size_t node, const PathElement* path, int unique_depth) {
+        if (unique_depth > 0) emit_leaf(tree, node, path, unique_depth, je);
+      });
+  flush_tree(je, phi);
+  return leaves;
+}
+
+#endif  // DRCSHAP_SIMD_ENABLED
 
 // Trees per reduction block of the batch engine. The block partition is a
 // function of the ensemble alone — never of the thread count or the batch
@@ -605,7 +1048,7 @@ ShapMatrix TreeShapExplainer::shap_values_batch(std::span<const float> features,
     struct WorkerScratch {
       std::vector<PathElement> path;
       std::vector<FastFrame> stack;
-      shap_detail::ShapJobEngine engine;
+      ShapJobEngine engine;
     };
     std::vector<WorkerScratch> scratch(pool.size());
     auto worker_scratch = [&]() -> WorkerScratch& {
@@ -645,17 +1088,20 @@ ShapMatrix TreeShapExplainer::shap_values_batch(std::span<const float> features,
       if (simd_walk) {
         ws.engine.init(stride, meta.max_leaves);
         for (std::size_t t = t_begin; t < t_end; ++t) {
-          leaves += shap_detail::fast_tree_shap_avx2(
-              trav, meta, flat.root(t), phi, ws.path.data(), stride, ws.stack,
-              ws.engine);
+          leaves += fast_tree_shap_avx2(trav, meta, flat.root(t), phi,
+                                        ws.path.data(), stride, ws.stack,
+                                        ws.engine);
         }
         obs::counter_add("shap/leaves_attributed", leaves);
         return;
       }
 #endif
       for (std::size_t t = t_begin; t < t_end; ++t) {
-        leaves += fast_tree_shap(trav, meta, flat.root(t), phi, ws.path.data(),
-                                 stride, ws.stack);
+        leaves += fast_tree_shap(
+            trav, meta, flat.root(t), ws.path.data(), stride, ws.stack,
+            [&](std::size_t node, const PathElement* path, int unique_depth) {
+              leaf_accumulate(trav, node, path, unique_depth, phi);
+            });
       }
       obs::counter_add("shap/leaves_attributed", leaves);
     };

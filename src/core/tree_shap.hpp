@@ -44,14 +44,19 @@
 // duplicate search at every node, specializes EXTEND on the fact that
 // one_fractions are exactly 0.0 or 1.0, halves the path copies by extending
 // cold children in the parent's scratch slot, skips dead subtrees (the
-// DFS marks them: see shap_detail::ShapMeta::live), and interleaves the
+// DFS marks them: see ShapMeta::live in tree_shap.cpp), and interleaves the
 // independent per-feature UNWIND chains at each leaf so the division unit
 // pipelines instead of stalling. Every
 // floating-point op that contributes to phi keeps its original operands and
 // order, so fast-path phi is byte-identical to the reference recursion
 // (kept verbatim behind the single-sample shap_values, the oracle the
-// tests compare the batch against). The fast walk runs scalar or AVX2+FMA
-// as the CPU (and $DRCSHAP_SIMD) allows; both are byte-identical.
+// tests compare the batch against). There is one fast traversal; what
+// happens at a leaf is the only difference between its two forms. The
+// scalar form computes each leaf's attributions in place; the AVX2+FMA
+// form — one function with a target("avx2,fma") attribute that the
+// traversal is inlined into — stages them for vector kernels flushed once
+// per tree. It runs when the CPU (and $DRCSHAP_SIMD) allows; both are
+// byte-identical.
 //
 // On top of the fast path, shap_values_batch dedupes rows before compute:
 // rows with byte-equal keys (quantized code vectors when the forest has a

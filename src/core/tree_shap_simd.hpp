@@ -1,10 +1,11 @@
 #pragma once
-// Private internals shared between the TreeSHAP batch engine
-// (tree_shap.cpp) and its AVX2+FMA leaf kernel TU (tree_shap_avx2.cpp).
-// Nothing here is part of the public explainer API; the header exists only
-// because the vector TU must see the exact same path/traversal/metadata
-// types — and the exact same inline EXTEND/UNWIND op order — that the
-// scalar engine uses, so the two walks stay provably byte-identical.
+// Leaf-pool sizing of the TreeSHAP batch engine's AVX2 walk
+// (tree_shap.cpp). Not part of the public explainer API: the header exists
+// so tests can price the per-worker pools a model makes the engine
+// allocate, and see which walk it selects. The walk itself — its path,
+// traversal and metadata types and EXTEND/UNWIND — is private to
+// tree_shap.cpp, where the scalar and the AVX2+FMA walk share one
+// traversal.
 
 #include <cstddef>
 #include <cstdint>
@@ -15,125 +16,6 @@
 #endif
 
 namespace drcshap::shap_detail {
-
-// One element of the "unique path" of Algorithm 2: a feature encountered on
-// the way down, the fraction of paths that flow through when the feature is
-// unknown (zero_fraction = cover ratio) or known (one_fraction = 0/1), and
-// the permutation weight accumulator pweight.
-struct PathElement {
-  int feature_index = -1;
-  double zero_fraction = 0.0;
-  double one_fraction = 0.0;
-  double pweight = 0.0;
-};
-
-/// FlatForest arrays + the raw sample: the one traversal every walk (the
-/// reference recursion, the scalar fast walk and the AVX2 fast walk) runs.
-struct ExactTraversal {
-  const std::int32_t* feature;
-  const float* threshold;
-  const std::int32_t* left;
-  const std::int32_t* right;
-  const double* value;
-  const double* cover;
-  const float* x;
-
-  bool is_leaf(std::size_t node) const { return feature[node] < 0; }
-  std::int32_t split_feature(std::size_t node) const { return feature[node]; }
-  bool goes_left(std::size_t node) const {
-    return x[static_cast<std::size_t>(feature[node])] <= threshold[node];
-  }
-  std::int32_t left_child(std::size_t node) const { return left[node]; }
-  std::int32_t right_child(std::size_t node) const { return right[node]; }
-};
-
-/// Structural per-node metadata of the FlatForest, node-indexed like its
-/// arrays.
-struct ShapMeta {
-  /// zero_fraction of the edge into each node (1.0 at roots).
-  std::vector<double> entry_zero_fraction;
-  /// For internal nodes: index of this node's split feature in the unique
-  /// path *after* extending with the incoming edge, or 0 when the feature
-  /// is fresh (path index 0 is the dummy base element, never a match).
-  std::vector<std::int32_t> dup_index;
-  /// 1 when the node's subtree holds a leaf whose attributions can change
-  /// phi. A leaf is dead (0) when its value is exactly 0.0 and every cover
-  /// from the root down to it, its own included, is finite and > 0: every
-  /// zero_fraction on its path is then a finite, nonzero product of cover
-  /// ratios (for covers within ~300 decades of each other, as weighted
-  /// sample counts are), so each attribution w * (one - zero) * 0.0 is a
-  /// signed zero, and phi — which starts at +0.0 and so can never reach
-  /// -0.0 — keeps every bit when it is added. An internal node is live iff
-  /// either child is. The fast walks skip dead subtrees; the reference
-  /// recursion does not.
-  std::vector<std::uint8_t> live;
-  /// Live-leaf count of the widest tree — the most leaves one tree's walk
-  /// can reach, which sizes the vector walk's per-tree leaf-job pools.
-  int max_leaves = 0;
-};
-
-/// Undo an extension for a repeated feature (UNWIND). Shared verbatim by
-/// the reference recursion and both fast walks.
-inline void unwind_path(PathElement* path, int unique_depth, int path_index) {
-  const double one_fraction = path[path_index].one_fraction;
-  const double zero_fraction = path[path_index].zero_fraction;
-  double next_one_portion = path[unique_depth].pweight;
-  for (int i = unique_depth - 1; i >= 0; --i) {
-    if (one_fraction != 0.0) {
-      const double tmp = path[i].pweight;
-      path[i].pweight = next_one_portion * (unique_depth + 1) /
-                        static_cast<double>((i + 1) * one_fraction);
-      next_one_portion =
-          tmp - path[i].pweight * zero_fraction * (unique_depth - i) /
-                    static_cast<double>(unique_depth + 1);
-    } else {
-      path[i].pweight = path[i].pweight * (unique_depth + 1) /
-                        static_cast<double>(zero_fraction * (unique_depth - i));
-    }
-  }
-  for (int i = path_index; i < unique_depth; ++i) {
-    path[i].feature_index = path[i + 1].feature_index;
-    path[i].zero_fraction = path[i + 1].zero_fraction;
-    path[i].one_fraction = path[i + 1].one_fraction;
-  }
-}
-
-/// EXTEND specialized on what the recursion guarantees about one_fraction:
-/// it is exactly 0.0 or 1.0 (the root gets 1.0, hot edges inherit a stored
-/// 0/1, cold edges get 0.0). With 1.0 the `one_fraction *` factor is the
-/// identity; with 0.0 the whole first line adds a signed zero, which never
-/// changes the target bits (pweights that are exactly zero are always +0.0:
-/// every product chain has non-negative structural factors and exact
-/// cancellation yields +0.0), so it is skipped. The surviving ops keep the
-/// reference operand order, so the resulting pweights are bit-identical.
-inline void extend_path_01(PathElement* path, int unique_depth,
-                           double zero_fraction, double one_fraction,
-                           int feature_index) {
-  path[unique_depth] = {feature_index, zero_fraction, one_fraction,
-                        unique_depth == 0 ? 1.0 : 0.0};
-  if (one_fraction != 0.0) {
-    for (int i = unique_depth - 1; i >= 0; --i) {
-      path[i + 1].pweight += path[i].pweight * (i + 1) /
-                             static_cast<double>(unique_depth + 1);
-      path[i].pweight = zero_fraction * path[i].pweight * (unique_depth - i) /
-                        static_cast<double>(unique_depth + 1);
-    }
-  } else {
-    for (int i = unique_depth - 1; i >= 0; --i) {
-      path[i].pweight = zero_fraction * path[i].pweight * (unique_depth - i) /
-                        static_cast<double>(unique_depth + 1);
-    }
-  }
-}
-
-/// Pending cold-subtree entry of the iterative fast walks.
-struct FastFrame {
-  std::int32_t node;
-  std::int32_t slot;  ///< path scratch slot (level); cold reuses its parent's
-  std::int32_t unique_depth;
-  std::int32_t feature;  ///< split feature of the edge into `node`
-  double one_fraction;
-};
 
 /// Per-tree staging pools of the vector walk. The walk defers every leaf's
 /// UNWOUND_PATH_SUM chains into ud-bucketed 4-lane blocks (lanes of one
@@ -257,17 +139,6 @@ bool simd_walk_available();
 /// replacement draws reciprocals from a fixed table of integer divisors up
 /// to this depth. Deeper forests fall back to the scalar fast walk.
 inline constexpr int kSimdWalkMaxDepth = 190;
-
-/// AVX2+FMA twin of the scalar fast walk for one (sample, tree): same
-/// traversal order, same dead-subtree skips, same EXTEND/UNWIND operands,
-/// leaf chains batched per tree and flushed into phi in reference DFS
-/// order. Byte-identical to the scalar walk (and therefore to the reference
-/// recursion). Returns the number of leaves it reached.
-std::size_t fast_tree_shap_avx2(const ExactTraversal& tree,
-                                const ShapMeta& meta, std::int32_t root,
-                                double* phi, PathElement* storage, int stride,
-                                std::vector<FastFrame>& stack,
-                                ShapJobEngine& engine);
 
 #endif  // DRCSHAP_SIMD_ENABLED
 

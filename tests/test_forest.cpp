@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/flat_forest.hpp"
 #include "ml/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -54,7 +55,8 @@ TEST(RandomForest, ProbabilitiesAreTreeAverages) {
   const auto x = d.row(5);
   double mean = 0.0;
   for (const DecisionTree& tree : forest.trees()) {
-    mean += tree.predict_proba(x);
+    const FlatForest one_tree(std::span<const DecisionTree>(&tree, 1));
+    mean += one_tree.predict_tree(0, x.data());
   }
   mean /= 7.0;
   EXPECT_NEAR(forest.predict_proba(x), mean, 1e-12);

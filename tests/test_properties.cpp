@@ -7,6 +7,7 @@
 #include <map>
 
 #include "core/brute_force_shap.hpp"
+#include "core/flat_forest.hpp"
 #include "core/tree_shap.hpp"
 #include "ml/metrics.hpp"
 #include "route/global_router.hpp"
@@ -131,6 +132,7 @@ TEST_P(TreeShapProperties, MatchesBruteForceAndIsAdditive) {
   options.seed = seed;
   DecisionTree tree;
   tree.fit(d, options);
+  const FlatForest flat(std::span<const DecisionTree>(&tree, 1));
 
   for (int trial = 0; trial < 5; ++trial) {
     std::vector<float> x(5);
@@ -142,7 +144,7 @@ TEST_P(TreeShapProperties, MatchesBruteForceAndIsAdditive) {
       EXPECT_NEAR(fast[f], slow[f], 1e-9);
       total += fast[f];
     }
-    EXPECT_NEAR(total, tree.predict_proba(x), 1e-9);
+    EXPECT_NEAR(total, flat.predict_tree(0, x.data()), 1e-9);
   }
 }
 

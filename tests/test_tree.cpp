@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/flat_forest.hpp"
 #include "util/rng.hpp"
 
 namespace drcshap {
@@ -34,10 +35,17 @@ Dataset xor_data(std::size_t n = 400) {
   return d;
 }
 
+/// A fitted tree as a one-tree FlatForest: trees are scored through it
+/// (predict_tree(0, x)), as every forest and RUSBoost round is.
+FlatForest flat_of(const DecisionTree& tree) {
+  return FlatForest(std::span<const DecisionTree>(&tree, 1));
+}
+
 double dataset_accuracy(const DecisionTree& tree, const Dataset& d) {
+  const FlatForest flat = flat_of(tree);
   std::size_t correct = 0;
   for (std::size_t i = 0; i < d.n_rows(); ++i) {
-    const int predicted = tree.predict_proba(d.row(i)) >= 0.5 ? 1 : 0;
+    const int predicted = flat.predict_tree(0, d.row(i).data()) >= 0.5 ? 1 : 0;
     if (predicted == d.label(i)) ++correct;
   }
   return static_cast<double>(correct) / static_cast<double>(d.n_rows());
@@ -137,8 +145,9 @@ TEST(DecisionTree, UnprunedTreeIsPureOnTrain) {
   const Dataset d = xor_data(200);
   DecisionTree tree;
   tree.fit(d);
+  const FlatForest flat = flat_of(tree);
   for (std::size_t i = 0; i < d.n_rows(); ++i) {
-    const double p = tree.predict_proba(d.row(i));
+    const double p = flat.predict_tree(0, d.row(i).data());
     EXPECT_TRUE(p == 0.0 || p == 1.0) << p;
   }
 }
@@ -161,7 +170,9 @@ TEST(DecisionTree, MinSamplesLeafRespected) {
   DecisionTree tree;
   tree.fit(d, options);
   for (const TreeNode& n : tree.nodes()) {
-    if (n.feature < 0) EXPECT_GE(n.cover, 30.0);
+    if (n.feature < 0) {
+      EXPECT_GE(n.cover, 30.0);
+    }
   }
 }
 
@@ -212,7 +223,7 @@ TEST(DecisionTree, ClassWeightShiftsLeafValues) {
   tree.fit(d, weighted);
   const double base_rate =
       static_cast<double>(d.n_positives()) / static_cast<double>(d.n_rows());
-  EXPECT_GT(tree.predict_proba(d.row(0)), base_rate);
+  EXPECT_GT(flat_of(tree).predict_tree(0, d.row(0).data()), base_rate);
 }
 
 TEST(DecisionTree, SingleClassDataYieldsLeafOnly) {
@@ -223,17 +234,7 @@ TEST(DecisionTree, SingleClassDataYieldsLeafOnly) {
   DecisionTree tree;
   tree.fit(d);
   EXPECT_EQ(tree.n_nodes(), 1u);
-  EXPECT_DOUBLE_EQ(tree.predict_proba(d.row(0)), 0.0);
-}
-
-TEST(DecisionTree, PredictValidation) {
-  DecisionTree tree;
-  EXPECT_THROW(tree.predict_proba(std::vector<float>{1.0f}),
-               std::logic_error);
-  const Dataset d = threshold_data(50);
-  tree.fit(d);
-  EXPECT_THROW(tree.predict_proba(std::vector<float>{1.0f}),
-               std::invalid_argument);
+  EXPECT_DOUBLE_EQ(flat_of(tree).predict_tree(0, d.row(0).data()), 0.0);
 }
 
 TEST(DecisionTree, FitOnBootstrapRows) {
